@@ -18,9 +18,9 @@ Alongside the timings, the run records the shared-memory data plane's
 dispatch economics and memory posture:
 
 - **payload bytes** — the pickled per-cell dispatch payload for the
-  fig04 grid under the shm data plane (segment handles) vs the pickle
-  fallback (inline planes); the committed ``payload_reduction`` floor
-  asserts the handles stay ≥10× smaller.
+  fig04 grid under the shm data plane (segment handles) vs pickling
+  the planes inline (:class:`InlineVideo`); the committed
+  ``payload_reduction`` floor asserts the handles stay ≥10× smaller.
 - **worker peak RSS** — the pooled leg runs inside a run directory,
   so worker telemetry captures each process's high-water RSS; the
   ``worker_rss_headroom`` floor asserts the peak stays inside a 1 GiB
@@ -40,6 +40,7 @@ import os
 import pickle
 import time
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -47,14 +48,10 @@ import pytest
 from repro import kernels
 from repro.experiments import common, fig04_crf_sweep, run_experiment
 from repro.obs.runstatus import load_run_status
-from repro.parallel.shm import (
-    SEGMENT_PREFIX,
-    InlineVideo,
-    ShmDataPlane,
-    leaked_segments,
-)
+from repro.parallel.shm import SEGMENT_PREFIX, ShmDataPlane, leaked_segments
 from repro.trace.branchtrace import BranchTrace
 from repro.uarch.branch import gshare_2kb, run_trace
+from repro.video.frame import Frame, Video
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), "..",
                           "BENCH_sweep.json")
@@ -73,6 +70,44 @@ WORKER_RSS_BUDGET_KIB = 1 << 20  # 1 GiB
 STREAM_PEAK_RATIO_FLOOR = 2.0
 #: Synthetic trace length for the streaming-memory measurement.
 STREAM_TRACE_EVENTS = 1_500_000
+
+
+@dataclass(frozen=True)
+class InlineVideo:
+    """Pickle-path twin of :class:`ShmVideoHandle`: planes ride along.
+
+    The stacked arrays pickle as three dense buffers; ``to_video()``
+    rebuilds per-frame views without further copies, so the cost is
+    one serialise/deserialise of the raw planes per *cell* — exactly
+    the overhead the shared-memory path exists to avoid, kept as the
+    measurable baseline.
+    """
+
+    name: str
+    fps: float
+    y: np.ndarray                # (frames, h, w) uint8
+    u: np.ndarray                # (frames, h//2, w//2) uint8
+    v: np.ndarray                # (frames, h//2, w//2) uint8
+
+    @classmethod
+    def from_video(cls, video: Video) -> "InlineVideo":
+        y, u, v = stack_planes(video)
+        return cls(name=video.name, fps=video.fps, y=y, u=u, v=v)
+
+    def to_video(self) -> Video:
+        frames = [
+            Frame(self.y[i], self.u[i], self.v[i], index=i)
+            for i in range(self.y.shape[0])
+        ]
+        return Video(frames, fps=self.fps, name=self.name)
+
+
+def stack_planes(video: Video) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense ``(frames, h, w)`` stacks of the Y, U and V planes."""
+    y = np.stack([frame.y.data for frame in video.frames])
+    u = np.stack([frame.u.data for frame in video.frames])
+    v = np.stack([frame.v.data for frame in video.frames])
+    return y, u, v
 
 
 def _pool_workers(cores: int) -> int:
@@ -104,7 +139,7 @@ def _payload_bytes(grid):
 
     Measures exactly what rides in each ``_CellJob``: one payload per
     cell, a segment handle under the shm plane vs the inline planes
-    under the pickle fallback.
+    of the :class:`InlineVideo` baseline.
     """
     session = common.make_session()
     cells_per_video = len(grid)

@@ -17,7 +17,7 @@ from .keys import (
     machine_fingerprint,
     video_content_key,
 )
-from .store import ResultCache, default_cache_dir, default_remote_dir
+from .store import ResultCache, default_cache_dir
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -25,7 +25,6 @@ __all__ = [
     "ResultCache",
     "cell_cache_key",
     "default_cache_dir",
-    "default_remote_dir",
     "machine_fingerprint",
     "video_content_key",
 ]

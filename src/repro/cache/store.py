@@ -14,18 +14,6 @@ separately, best-effort deleted) and then a miss.  Hit/miss/
 invalidation counters feed the ambient metrics registry, so a run's
 ``--metrics-json`` artifact reports exactly how much work the cache
 saved.
-
-**Remote tier.**  ``REPRO_CACHE_REMOTE`` (or the ``remote=``
-constructor argument) names a second, read-through backend directory
-with the same layout — typically a shared filesystem seeded by CI or
-another machine.  A local miss falls through to the remote; a remote
-hit is *promoted* into the local tier (so the next lookup is one
-local ``open`` away) and local publishes are mirrored best-effort.
-The remote is advisory end to end: unreadable, corrupt or unwritable
-remote state only moves ``cache.remote.*`` counters, never an
-experiment's outcome.  ``cache.hits``/``cache.misses`` keep their
-single-tier meaning (local hits; both-tier misses), so warm-cache
-assertions written before the remote tier existed still hold.
 """
 
 from __future__ import annotations
@@ -42,21 +30,10 @@ from .keys import CACHE_SCHEMA_VERSION
 #: Environment override for the default cache location.
 _ENV_DIR = "REPRO_CACHE_DIR"
 
-#: Environment pointing at the read-through remote backend directory.
-_ENV_REMOTE = "REPRO_CACHE_REMOTE"
-
-#: Sentinel distinguishing "remote missed" from a stored null payload.
-_MISS = object()
-
 
 def default_cache_dir() -> str:
     """Where caches live when no explicit path is given."""
     return os.environ.get(_ENV_DIR) or os.path.join(".repro", "cache")
-
-
-def default_remote_dir() -> str | None:
-    """The configured remote backend directory, if any."""
-    return os.environ.get(_ENV_REMOTE) or None
 
 
 class ResultCache:
@@ -67,27 +44,16 @@ class ResultCache:
     not delete) every existing entry.
     """
 
-    def __init__(
-        self, root: str, salt: str = "", remote: str | None = None
-    ) -> None:
+    def __init__(self, root: str, salt: str = "") -> None:
         self.root = root
         self.salt = salt
-        # None = inherit the environment; "" = explicitly no remote.
-        self.remote = (
-            remote if remote is not None else default_remote_dir()
-        ) or None
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
         self.writes = 0
-        self.remote_hits = 0
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], f"{key}.json")
-
-    def _remote_path(self, key: str) -> str:
-        assert self.remote is not None
-        return os.path.join(self.remote, key[:2], f"{key}.json")
 
     @staticmethod
     def _valid(entry: Any, key: str) -> bool:
@@ -115,48 +81,16 @@ class ResultCache:
             with open(path, encoding="utf-8") as handle:
                 entry = json.load(handle)
         except FileNotFoundError:
-            return self._fall_through(key)
+            self._miss()
+            return None
         except (OSError, ValueError, UnicodeDecodeError):
-            self._invalidate(path)
-            return self._fall_through(key)
+            entry = None
         if not self._valid(entry, key):
             self._invalidate(path)
-            return self._fall_through(key)
+            self._miss()
+            return None
         self.hits += 1
         record_metric("counter", "cache.hits")
-        return entry["payload"]
-
-    def _fall_through(self, key: str) -> Any | None:
-        """Local tier missed: consult the remote, else record a miss."""
-        payload = self._remote_get(key)
-        if payload is not _MISS:
-            return payload
-        self._miss()
-        return None
-
-    def _remote_get(self, key: str) -> Any:
-        """Remote lookup + local promotion; ``_MISS`` when absent,
-        unreadable, invalid, or no remote is configured."""
-        if self.remote is None:
-            return _MISS
-        path = self._remote_path(key)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except FileNotFoundError:
-            return _MISS
-        except (OSError, ValueError, UnicodeDecodeError):
-            record_metric("counter", "cache.remote.errors")
-            return _MISS
-        if not self._valid(entry, key):
-            # Never delete remote state (it is someone else's tier);
-            # just refuse to trust it.
-            record_metric("counter", "cache.remote.errors")
-            return _MISS
-        self.remote_hits += 1
-        record_metric("counter", "cache.remote.hits")
-        if self._write_entry(self._path(key), entry):
-            record_metric("counter", "cache.remote.promotions")
         return entry["payload"]
 
     def _miss(self) -> None:
@@ -197,13 +131,6 @@ class ResultCache:
             return False
         self.writes += 1
         record_metric("counter", "cache.writes")
-        # Mirror to the remote tier best-effort: a shared backend that
-        # cannot be written is a counted condition, not a failure.
-        if self.remote is not None:
-            if self._write_entry(self._remote_path(key), entry):
-                record_metric("counter", "cache.remote.writes")
-            else:
-                record_metric("counter", "cache.remote.errors")
         return True
 
     @staticmethod
@@ -264,14 +191,12 @@ class ResultCache:
                 pass
         return {
             "root": self.root,
-            "remote": self.remote,
             "entries": len(paths),
             "bytes": total_bytes,
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
             "writes": self.writes,
-            "remote_hits": self.remote_hits,
         }
 
     def clear(self) -> int:

@@ -4,11 +4,9 @@ Everything in the harness that reads the clock or sleeps — retry
 backoff, watchdog deadlines, span timings, event timestamps — does so
 through a :class:`Clock`, so the test suite can drive timing with
 :class:`FakeClock` and never block on a real :func:`time.sleep` or
-depend on wall time.
-
-(Historically this lived at :mod:`repro.resilience.clock`, which still
-re-exports these names; it moved up a level when :mod:`repro.obs`
-started sharing it — a leaf module keeps the dependency graph acyclic.)
+depend on wall time.  It is a leaf module so that
+:mod:`repro.resilience` and :mod:`repro.obs` can share it without an
+import cycle.
 """
 
 from __future__ import annotations

@@ -142,10 +142,9 @@ class Session:
         """Register a delivery payload for one ``(clip, frames)`` pair.
 
         ``payload`` is a :class:`~repro.parallel.shm.ShmVideoHandle`
-        (zero-copy attach) or :class:`~repro.parallel.shm.InlineVideo`
-        (pickled planes); pool workers install these from the cell job
-        so :meth:`video` never regenerates what the parent already
-        published.  A payload that fails to materialise falls back to
+        (zero-copy attach); pool workers install these from the cell
+        job so :meth:`video` never regenerates what the parent already
+        published.  A payload that fails to attach falls back to
         regeneration — delivery never decides whether a cell runs.
         """
         self._video_sources[(name, num_frames)] = payload
@@ -170,10 +169,10 @@ class Session:
         video: Video | None = None
         payload = self._video_sources.get((name, frames))
         if payload is not None:
-            from ..parallel import shm as shm_plane
+            from ..parallel.shm import attach_video
 
             try:
-                video = shm_plane.video_from_payload(payload)
+                video = attach_video(payload)
             except ShmError:
                 # Segment gone or malformed: regenerate locally.  The
                 # counter makes a silently-degraded sweep visible in

@@ -148,20 +148,8 @@ class ShmError(ReproError):
     Raised by the zero-copy data plane (:mod:`repro.parallel.shm`) when
     ``/dev/shm`` refuses a publish or a worker cannot attach a
     published segment.  Callers never propagate it to a sweep: the
-    data plane falls back to pickled planes or in-worker regeneration,
-    because video *delivery* must never decide whether a cell runs.
-    """
-
-
-class ServiceError(ReproError):
-    """The encode-farm service layer could not operate.
-
-    Raised for service-directory problems (an unreadable or corrupt
-    job log, an unwritable service directory) and for API misuse
-    (submitting an unknown experiment, cancelling a job that is not
-    cancellable).  Admission *rejections* are not errors — a rejected
-    job is a recorded verdict in the job log, because a service that
-    throws at full queues cannot shed load gracefully.
+    data plane falls back to in-worker regeneration, because video
+    *delivery* must never decide whether a cell runs.
     """
 
 

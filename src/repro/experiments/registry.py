@@ -22,7 +22,6 @@ sibling of the run ledger).
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import time
@@ -40,13 +39,13 @@ from ..obs.export import write_chrome_trace, write_span_log
 from ..obs.openmetrics import write_openmetrics
 from ..obs.telemetry import (
     LEDGER_FILE,
-    MANIFEST_FILE,
     METRICS_JSON_FILE,
     METRICS_PROM_FILE,
     SPAN_LOG_FILE,
     TRACE_FILE,
     open_sink,
     telemetry_dir,
+    update_manifest,
 )
 from ..parallel.pool import (
     ParallelConfig,
@@ -143,39 +142,6 @@ def default_span_log_path(ledger_path: str) -> str:
     """Span-log path riding alongside a run ledger."""
     stem, _ = os.path.splitext(ledger_path)
     return f"{stem}.spans.jsonl"
-
-
-def _write_manifest(
-    run_dir: str, manifest: dict, *, replace: bool = False
-) -> None:
-    """Write/update the run directory's ``run.json`` (best effort).
-
-    The manifest is advisory metadata for ``repro status`` — a run
-    must never die because its description could not be written.
-    The exit rewrite merges over the on-disk file rather than
-    replacing it: other subsystems annotate the manifest mid-run
-    (the shm data plane's ``shm_segments`` list) and those keys must
-    survive.  The start-of-run write passes ``replace=True`` so a
-    reused run directory does not inherit a prior run's ``error`` or
-    ``ended_wall``.
-    """
-    path = os.path.join(run_dir, MANIFEST_FILE)
-    merged: dict = {}
-    if not replace:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                on_disk = json.load(handle)
-            if isinstance(on_disk, dict):
-                merged = on_disk
-        except (OSError, json.JSONDecodeError, FileNotFoundError):
-            pass
-    merged.update(manifest)
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(merged, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    except OSError:
-        pass
 
 
 def run_experiment(
@@ -349,7 +315,7 @@ def run_experiment(
             "workers": resolve_workers(workers),
             "affinity": resolve_affinity(affinity),
         }
-        _write_manifest(run_dir, manifest, replace=True)
+        update_manifest(run_dir, manifest, replace=True)
         obs_context.telemetry = open_sink(
             telemetry_dir(run_dir),
             role="parent",
@@ -425,7 +391,7 @@ def run_experiment(
             manifest["ended_wall"] = time.time()
             if error_text is not None:
                 manifest["error"] = error_text
-            _write_manifest(run_dir, manifest)
+            update_manifest(run_dir, manifest)
         if outcome != "complete":
             # Best-effort artifact flush: an interrupted or crashed
             # run's spans/metrics are exactly what a post-mortem

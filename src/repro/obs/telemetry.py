@@ -59,6 +59,47 @@ def heartbeat_dir(run_dir: str) -> str:
     return os.path.join(run_dir, HEARTBEAT_DIR)
 
 
+def update_manifest(
+    run_dir: str, fields: dict[str, Any], *, replace: bool = False
+) -> None:
+    """Merge ``fields`` into the run directory's ``run.json`` (best effort).
+
+    The one writer of the manifest.  It merges over the on-disk file,
+    so keys other subsystems wrote mid-run (the shm data plane's
+    ``shm_segments``) survive; ``replace=True`` starts from an empty
+    manifest instead, so a reused run directory does not inherit a
+    prior run's ``error`` or ``ended_wall``.  The new manifest goes to
+    a temp file in the run directory and is renamed over ``run.json``,
+    so a kill or a full disk mid-write leaves the previous manifest
+    whole.  The manifest is advisory: a write that fails is dropped,
+    because a run must never die for its description.
+    """
+    path = os.path.join(run_dir, MANIFEST_FILE)
+    manifest: dict[str, Any] = {}
+    if not replace:
+        try:
+            with open(path, encoding="utf-8") as handle:
+                on_disk = json.load(handle)
+            if isinstance(on_disk, dict):
+                manifest = on_disk
+        except (OSError, ValueError):
+            pass
+    manifest.update(fields)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        os.replace(tmp, path)
+    except OSError:
+        pass
+    finally:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+
+
 def _rss_kib() -> float | None:
     """This process's resident set size in KiB, if observable."""
     try:

@@ -25,13 +25,11 @@ from .pool import (
     resolve_workers,
 )
 from .shm import (
-    InlineVideo,
     ShmDataPlane,
     ShmVideoHandle,
     attach_video,
     leaked_segments,
     publish_video,
-    shm_mode,
 )
 from .scaling import (
     ScalingCurve,
@@ -54,7 +52,6 @@ __all__ = [
     "GRAPH_BUILDERS",
     "CellSpec",
     "HeartbeatWriter",
-    "InlineVideo",
     "Lease",
     "ParallelConfig",
     "ShmDataPlane",
@@ -80,7 +77,6 @@ __all__ = [
     "leaked_segments",
     "publish_video",
     "request_drain",
-    "shm_mode",
     "resolve_cache_dir",
     "resolve_supervision",
     "resolve_workers",

@@ -83,7 +83,7 @@ from ..resilience.executor import (
     ResilienceGuard,
 )
 from ..resilience.ledger import OK, QUARANTINED
-from .shm import InlineVideo, ShmDataPlane, shm_mode
+from .shm import ShmDataPlane
 from .supervise import (
     HeartbeatWriter,
     Lease,
@@ -381,9 +381,8 @@ class _CellJob:
     prior_crashes: int = 0
     #: Telemetry stream directory (``None`` = telemetry disabled).
     telemetry_dir: str | None = None
-    #: Video delivery payload for this cell's clip — a
-    #: :class:`~repro.parallel.shm.ShmVideoHandle` (zero-copy attach)
-    #: or :class:`~repro.parallel.shm.InlineVideo` (pickled planes).
+    #: Shared-memory handle for this cell's clip
+    #: (:class:`~repro.parallel.shm.ShmVideoHandle`, zero-copy attach).
     #: ``None`` means the worker regenerates from the clip name.
     video_payload: Any = None
 
@@ -1041,29 +1040,23 @@ def _run_supervised(
     supervisor = _Supervisor(session, pending, config, worker_count)
 
     # Video data plane: resolve each distinct clip once in the parent
-    # (through the session LRU) and pick its delivery payload.  The
+    # (through the session LRU) and publish it to shared memory.  The
     # parent owns every shm segment for the whole dispatch loop —
     # including across pool rebuilds, whose fresh workers re-attach the
     # same segments — and the ``finally`` below unlinks them on drain,
-    # crash and normal completion alike.
-    mode = shm_mode()
-    plane = ShmDataPlane(run_dir=run_dir) if mode == "shm" else None
+    # crash and normal completion alike.  A clip that cannot be
+    # published gets no payload: its workers regenerate it by name.
+    plane = ShmDataPlane(run_dir=run_dir)
     payloads: dict[str, Any] = {}
-    if mode != "generate":
-        for name in dict.fromkeys(
-            spec.video for _, spec in pending.values()
-        ):
-            try:
-                video = session.video(name)
-            except VideoError:
-                continue  # non-catalog clip: worker raises as before
-            if plane is not None:
-                try:
-                    payloads[name] = plane.publish(video)
-                except ShmError:
-                    record_metric("counter", "shm.publish.fallbacks")
-            else:
-                payloads[name] = InlineVideo.from_video(video)
+    for name in dict.fromkeys(spec.video for _, spec in pending.values()):
+        try:
+            video = session.video(name)
+        except VideoError:
+            continue  # non-catalog clip: worker raises as before
+        try:
+            payloads[name] = plane.publish(video)
+        except ShmError:
+            record_metric("counter", "shm.publish.fallbacks")
 
     def job_template(
         spec: CellSpec, hb_path: str, prior: int
@@ -1170,8 +1163,7 @@ def _run_supervised(
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
         supervisor.close()
-        if plane is not None:
-            plane.close()
+        plane.close()
         if parent_sink is not None:
             parent_sink.annotate(phase=None)
             parent_sink.flush()

@@ -28,29 +28,15 @@ Ownership and unlink rules (DESIGN.md "Shared-memory data plane"):
   read-only mapping turns any future violation into a loud error
   instead of a silent cross-cell heisenbug.
 
-Fallback matrix (resolved by :func:`shm_mode`):
-
-======================  =============================================
-mode                    video delivery to workers
-======================  =============================================
-``shm`` (default)       shared-memory segment, zero-copy attach
-``pickle``              planes pickled inline into the cell job
-                        (``REPRO_SHM_MODE=pickle``; the benchmark
-                        suite uses it to measure the payload win)
-``generate``            workers regenerate by clip name — the
-                        pre-PR behaviour (``REPRO_NO_SHM=1``)
-======================  =============================================
-
 Publish failures (``/dev/shm`` full, platform without POSIX shm) fall
-back to ``generate`` per video; attach failures inside a worker fall
-back the same way per cell.  Every fallback is an event/counter, never
-an error: the data plane changes how fast bytes move, never whether a
-cell runs.
+back per video to workers regenerating the clip by name; attach
+failures inside a worker fall back the same way per cell.  Every
+fallback is a counter, never an error: the data plane changes how fast
+bytes move, never whether a cell runs.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import secrets
@@ -61,29 +47,12 @@ import numpy as np
 
 from ..errors import ShmError
 from ..obs.context import record_metric
+from ..obs.telemetry import update_manifest
 from ..video.frame import Frame, Video
 
-#: Environment kill-switch: any truthy value forces ``generate`` mode.
-NO_SHM_ENV = "REPRO_NO_SHM"
-#: Environment mode override: ``shm`` | ``pickle`` | ``generate``.
-MODE_ENV = "REPRO_SHM_MODE"
 #: Every segment name starts with this, so a leak scan (tests, CI) can
 #: recognise ours without false positives from other tenants.
 SEGMENT_PREFIX = "repro-shm-"
-
-_MODES = ("shm", "pickle", "generate")
-
-
-def shm_mode() -> str:
-    """Effective video-delivery mode: kill-switch > mode env > shm."""
-    if os.environ.get(NO_SHM_ENV, "").lower() in ("1", "true", "yes"):
-        return "generate"
-    mode = os.environ.get(MODE_ENV, "").lower() or "shm"
-    if mode not in _MODES:
-        raise ShmError(
-            f"{MODE_ENV}={mode!r} is not one of {', '.join(_MODES)}"
-        )
-    return mode
 
 
 def _segment_name() -> str:
@@ -129,44 +98,6 @@ class ShmVideoHandle:
         return self.luma_bytes + 2 * self.chroma_bytes
 
 
-@dataclass(frozen=True)
-class InlineVideo:
-    """Pickle-path twin of :class:`ShmVideoHandle`: planes ride along.
-
-    The stacked arrays pickle as three dense buffers; ``to_video()``
-    rebuilds per-frame views without further copies, so the cost is
-    one serialise/deserialise of the raw planes per *cell* — exactly
-    the overhead the shared-memory path exists to avoid, kept as the
-    measurable baseline.
-    """
-
-    name: str
-    fps: float
-    y: np.ndarray                # (frames, h, w) uint8
-    u: np.ndarray                # (frames, h//2, w//2) uint8
-    v: np.ndarray                # (frames, h//2, w//2) uint8
-
-    @classmethod
-    def from_video(cls, video: Video) -> "InlineVideo":
-        y, u, v = stack_planes(video)
-        return cls(name=video.name, fps=video.fps, y=y, u=u, v=v)
-
-    def to_video(self) -> Video:
-        frames = [
-            Frame(self.y[i], self.u[i], self.v[i], index=i)
-            for i in range(self.y.shape[0])
-        ]
-        return Video(frames, fps=self.fps, name=self.name)
-
-
-def stack_planes(video: Video) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense ``(frames, h, w)`` stacks of the Y, U and V planes."""
-    y = np.stack([frame.y.data for frame in video.frames])
-    u = np.stack([frame.u.data for frame in video.frames])
-    v = np.stack([frame.v.data for frame in video.frames])
-    return y, u, v
-
-
 def publish_video(
     video: Video, segment: str | None = None
 ) -> tuple[ShmVideoHandle, shared_memory.SharedMemory]:
@@ -176,7 +107,7 @@ def publish_video(
     :class:`~multiprocessing.shared_memory.SharedMemory` object, which
     the caller owns (keep it referenced until ``unlink``).  Raises
     :class:`~repro.errors.ShmError` when the platform or ``/dev/shm``
-    refuses — callers fall back to another delivery mode.
+    refuses — callers fall back to regenerating the video.
     """
     handle = ShmVideoHandle(
         segment=segment if segment is not None else _segment_name(),
@@ -289,17 +220,6 @@ def _plane_views(
     return y, u, v
 
 
-def video_from_payload(payload: "ShmVideoHandle | InlineVideo") -> Video:
-    """Materialise a worker-side video from either delivery payload."""
-    if isinstance(payload, ShmVideoHandle):
-        return attach_video(payload)
-    if isinstance(payload, InlineVideo):
-        return payload.to_video()
-    raise ShmError(
-        f"unknown video payload type {type(payload).__name__}"
-    )
-
-
 class ShmDataPlane:
     """Parent-side registry of published segments for one sweep.
 
@@ -376,7 +296,9 @@ class ShmDataPlane:
     def _register(self) -> None:
         """Mirror the active segment list into the run manifest."""
         if self.run_dir is not None:
-            register_manifest_segments(self.run_dir, self.segment_names)
+            update_manifest(
+                self.run_dir, {"shm_segments": sorted(self.segment_names)}
+            )
 
 
 def _destroy(shm: shared_memory.SharedMemory) -> None:
@@ -384,35 +306,6 @@ def _destroy(shm: shared_memory.SharedMemory) -> None:
     try:
         shm.unlink()
     except (OSError, FileNotFoundError):
-        pass
-
-
-def register_manifest_segments(run_dir: str, names: list[str]) -> None:
-    """Record the live shm segments in ``run.json`` (best effort).
-
-    Read-modify-write of the advisory manifest: the list is current
-    while segments are mapped and empties on unlink, so a manifest
-    that still names segments after the run is the signature of a
-    parent killed before its ``finally`` — exactly what a leak sweep
-    wants to know.  Like every manifest write, failure is ignored: a
-    sweep must never die because its description could not be saved.
-    """
-    path = os.path.join(run_dir, "run.json")
-    try:
-        with open(path, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        if not isinstance(manifest, dict):
-            return
-    except FileNotFoundError:
-        manifest = {}
-    except (OSError, json.JSONDecodeError):
-        return
-    manifest["shm_segments"] = sorted(names)
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    except OSError:
         pass
 
 

@@ -43,11 +43,9 @@ from ..errors import TraceError
 from .costmodel import kernel_cost
 from .instruction import (
     CLASS_INDEX,
-    BranchEvent,
     InstrClass,
     InstructionCounts,
     LoopSummary,
-    MemoryTouch,
 )
 
 #: Cache-line size assumed by address generation.
@@ -169,11 +167,7 @@ class Instrumenter:
         self._branches_flushed = 0
         self._touches_flushed = 0
 
-        # Cached object views (satellite of the columnar design: the
-        # deprecated per-event accessors used to rebuild full Python
-        # object lists on every read).
-        self._branch_events_cache: list[BranchEvent] | None = None
-        self._touches_cache: list[MemoryTouch] | None = None
+        # Cached object view of the compressed loop summaries.
         self._loop_summaries_cache: list[LoopSummary] | None = None
 
         # Compressed loop-branch summaries keyed by (pc, trip_count).
@@ -309,7 +303,7 @@ class Instrumenter:
         at registration time, and ``0`` flushes only at
         :meth:`flush_stream`.  Registering a sink switches the branch
         stream to streaming mode: buffers are surrendered at each
-        flush, so :meth:`branch_events` / :meth:`branch_arrays` raise
+        flush, so :meth:`branch_arrays` raises
         once anything has been flushed.
         """
         if not self.record_branches:
@@ -364,7 +358,6 @@ class Instrumenter:
         self._branch_pcs = array("q")
         self._branch_taken = array("b")
         self._branches_flushed += count
-        self._branch_events_cache = None
         for sink in self._branch_sinks:
             sink(pcs, taken)
 
@@ -387,7 +380,6 @@ class Instrumenter:
         self._touch_write = array("b")
         self._touch_repeats = array("q")
         self._touches_flushed += count
-        self._touches_cache = None
         for sink in self._touch_sinks:
             sink(*columns)
 
@@ -480,24 +472,6 @@ class Instrumenter:
                 "it through a branch sink instead"
             )
 
-    def branch_events(self) -> list[BranchEvent]:
-        """Decision-branch events in program order.
-
-        .. deprecated:: prefer :meth:`branch_arrays` (or a registered
-           branch sink) — the columnar form is what every replay kernel
-           consumes.  This per-event object view is kept for existing
-           callers and built at most once per stream state.
-        """
-        self._require_whole_branch_stream()
-        cache = self._branch_events_cache
-        if cache is None or len(cache) != len(self._branch_pcs):
-            cache = [
-                BranchEvent(pc=pc, taken=bool(taken))
-                for pc, taken in zip(self._branch_pcs, self._branch_taken)
-            ]
-            self._branch_events_cache = cache
-        return cache
-
     def branch_arrays(self) -> tuple[array, array]:
         """Raw columnar branch buffers ``(pcs, taken)`` (zero-copy)."""
         self._require_whole_branch_stream()
@@ -552,39 +526,6 @@ class Instrumenter:
                 "it through a touch sink instead"
             )
 
-    def touches(self) -> list[MemoryTouch]:
-        """Memory touches in program order.
-
-        .. deprecated:: prefer :meth:`touch_arrays` (or a registered
-           touch sink) — the cache driver consumes the columns
-           directly.  This per-event object view is kept for existing
-           callers and built at most once per stream state.
-        """
-        self._require_whole_touch_stream()
-        cache = self._touches_cache
-        if cache is not None and len(cache) == len(self._touch_base):
-            return cache
-        cache = [
-            MemoryTouch(
-                base_addr=base,
-                rows=rows,
-                row_bytes=row_bytes,
-                pitch=pitch,
-                is_write=bool(write),
-                repeats=repeats,
-            )
-            for base, rows, row_bytes, pitch, write, repeats in zip(
-                self._touch_base,
-                self._touch_rows,
-                self._touch_rowbytes,
-                self._touch_pitch,
-                self._touch_write,
-                self._touch_repeats,
-            )
-        ]
-        self._touches_cache = cache
-        return cache
-
     def touch_arrays(self) -> tuple[array, array, array, array, array, array]:
         """Raw columnar touch buffers (zero-copy)."""
         self._require_whole_touch_stream()
@@ -617,8 +558,6 @@ class Instrumenter:
                 "cannot merge streaming instrumenters: flushed chunks "
                 "are owned by their sinks, not the instrumenter"
             )
-        self._branch_events_cache = None
-        self._touches_cache = None
         self._loop_summaries_cache = None
         self.counts.merge(other.counts)
         self.decision_branches += other.decision_branches

@@ -2,6 +2,8 @@
 and every ``__all__`` name must resolve."""
 
 import importlib
+import pathlib
+import re
 
 import pytest
 
@@ -59,3 +61,18 @@ def test_paper_entry_points_exist():
     from repro.experiments import run_experiment  # noqa: F401
     from repro.parallel import thread_scaling  # noqa: F401
     from repro.video import vbench  # noqa: F401
+
+
+def test_env_knobs_are_documented():
+    """Every ``REPRO_*`` variable the source reads is in README's table."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    in_source = {
+        match
+        for path in (root / "src" / "repro").rglob("*.py")
+        for match in re.findall(r"REPRO_[A-Z_]+", path.read_text())
+    }
+    readme = (root / "README.md").read_text()
+    section = readme.split("## Environment variables", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", section, re.M))
+    assert in_source == documented

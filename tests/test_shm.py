@@ -1,10 +1,10 @@
 """Unit tests for the zero-copy shared-memory data plane.
 
 Covers the publish/attach round-trip (zero-copy, read-only views),
-the pickle-path twin, the fallback matrix (`REPRO_NO_SHM`,
-`REPRO_SHM_MODE`, bogus-segment attach), the data plane's
-refcount/unlink lifecycle, run-manifest registration, and the
-session-side video LRU that attaches payloads exactly once per clip.
+the fallback to regeneration (a refused publish, a bogus-segment
+attach), the data plane's refcount/unlink lifecycle, run-manifest
+registration, and the session-side video LRU that attaches payloads
+exactly once per clip.
 """
 
 import json
@@ -16,21 +16,23 @@ import pytest
 
 os.environ.setdefault("REPRO_FAST", "1")
 
+import repro.core.session as session_mod  # noqa: E402
 from repro.core.session import VIDEO_LRU_CAPACITY, Session  # noqa: E402
 from repro.errors import ShmError  # noqa: E402
+from repro.experiments import common, fig04_crf_sweep  # noqa: E402
+from repro.experiments import run_experiment  # noqa: E402
+from repro.parallel import shm as shm_mod  # noqa: E402
 from repro.parallel.shm import (  # noqa: E402
     SEGMENT_PREFIX,
-    InlineVideo,
     ShmDataPlane,
     ShmVideoHandle,
     attach_video,
     leaked_segments,
     publish_video,
-    shm_mode,
-    video_from_payload,
 )
 from repro.video import vbench  # noqa: E402
 from repro.video.synthetic import generate  # noqa: E402
+from tests.test_resilience_integration import synthetic_report  # noqa: E402
 
 FRAMES = 3
 
@@ -88,10 +90,7 @@ class TestPublishAttach:
         handle, _, video = published
         payload = pickle.dumps(handle, pickle.HIGHEST_PROTOCOL)
         assert len(payload) < 512
-        inline = pickle.dumps(
-            InlineVideo.from_video(video), pickle.HIGHEST_PROTOCOL
-        )
-        assert len(inline) > 10 * len(payload)
+        assert handle.total_bytes > 10 * len(payload)
 
     def test_attach_missing_segment_raises(self):
         handle = ShmVideoHandle(
@@ -117,45 +116,6 @@ class TestPublishAttach:
             handle.luma_bytes + 2 * handle.chroma_bytes
         )
         assert shm.size >= handle.total_bytes
-
-
-class TestInlineVideo:
-    def test_roundtrip(self, video):
-        rebuilt = InlineVideo.from_video(video).to_video()
-        assert rebuilt.name == video.name
-        assert rebuilt.num_frames == video.num_frames
-        for ours, theirs in zip(video.frames, rebuilt.frames):
-            assert np.array_equal(ours.y.data, theirs.y.data)
-
-    def test_payload_dispatch(self, video, published):
-        handle, _, _ = published
-        assert video_from_payload(handle).name == video.name
-        inline = InlineVideo.from_video(video)
-        assert video_from_payload(inline).name == video.name
-        with pytest.raises(ShmError, match="unknown video payload"):
-            video_from_payload("desktop")
-
-
-class TestShmMode:
-    def test_default_is_shm(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_SHM", raising=False)
-        monkeypatch.delenv("REPRO_SHM_MODE", raising=False)
-        assert shm_mode() == "shm"
-
-    def test_kill_switch_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        monkeypatch.setenv("REPRO_SHM_MODE", "pickle")
-        assert shm_mode() == "generate"
-
-    def test_mode_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_SHM", raising=False)
-        monkeypatch.setenv("REPRO_SHM_MODE", "pickle")
-        assert shm_mode() == "pickle"
-
-    def test_bad_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MODE", "telepathy")
-        with pytest.raises(ShmError, match="REPRO_SHM_MODE"):
-            shm_mode()
 
 
 class TestShmDataPlane:
@@ -195,6 +155,51 @@ class TestShmDataPlane:
         plane.close()
         with open(os.path.join(run_dir, "run.json")) as fh:
             assert json.load(fh)["shm_segments"] == []
+
+
+def _refuse_publish(video, segment=None):
+    raise ShmError(f"no shared memory for {video.name!r}")
+
+
+class TestGenerateFallback:
+    """A refused publish degrades to worker-side regeneration."""
+
+    def test_plane_publish_raises_and_registers_nothing(
+        self, video, monkeypatch
+    ):
+        monkeypatch.setattr(shm_mod, "publish_video", _refuse_publish)
+        with ShmDataPlane() as plane:
+            with pytest.raises(ShmError):
+                plane.publish(video)
+            assert plane.segment_names == []
+
+    def test_pooled_sweep_regenerates_in_workers(
+        self, monkeypatch, tmp_path
+    ):
+        videos = ("desktop", "game1")
+        for module in (common, fig04_crf_sweep):
+            monkeypatch.setattr(module, "sweep_videos", lambda: videos)
+            monkeypatch.setattr(module, "sweep_crfs", lambda: (10, 60))
+
+        def fake(codec, video, machine=None, crf=None, preset=None,
+                 num_frames=None):
+            # Every cell must see a regenerated clip, never a segment.
+            assert getattr(video, "shm", None) is None
+            return synthetic_report(codec, video.name, crf=crf,
+                                    preset=preset)
+
+        monkeypatch.setattr(session_mod, "characterize", fake)
+        serial = run_experiment("fig04", workers=1)
+        monkeypatch.setattr(shm_mod, "publish_video", _refuse_publish)
+        metrics = str(tmp_path / "metrics.json")
+        pooled = run_experiment("fig04", workers=2, metrics_json=metrics)
+        assert pooled.tables == serial.tables
+        assert pooled.series == serial.series
+        with open(metrics, encoding="utf-8") as handle:
+            counters = json.load(handle)["counters"]
+        assert counters["shm.publish.fallbacks"] == len(videos)
+        assert "shm.segments.published" not in counters
+        assert _own_segments() == []
 
 
 class TestSessionVideoLru:

@@ -22,6 +22,7 @@ the chaos suite):
   (OBSERVABILITY.md), including an OpenMetrics ``metrics.prom``.
 """
 
+import errno
 import json
 import os
 import time
@@ -58,8 +59,11 @@ from repro.obs.telemetry import (  # noqa: E402
     read_telemetry_file,
 )
 from repro.parallel import pool as pool_mod  # noqa: E402
+from repro.parallel.shm import ShmDataPlane  # noqa: E402
 from repro.parallel.supervise import request_drain  # noqa: E402
 from repro.resilience import FaultPlan, RunLedger  # noqa: E402
+from repro.video import vbench  # noqa: E402
+from repro.video.synthetic import generate  # noqa: E402
 from tests.test_resilience_integration import synthetic_report  # noqa: E402
 
 WORKERS = 2
@@ -545,3 +549,57 @@ class TestRunDirectoryContract:
         assert status.cells_ok == GRID_CELLS
         assert status.resumable == []
         assert {w.role for w in status.workers} == {"parent", "worker"}
+
+
+def _torn_dump(obj, handle, **kwargs):
+    """``json.dump`` that dies halfway, like a kill or a full disk."""
+    text = json.dumps(obj, **kwargs)
+    handle.write(text[: len(text) // 2])
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestAtomicManifest:
+    """``run.json`` is replaced whole or not at all."""
+
+    PREVIOUS = {"experiment_id": "fig04", "status": "running"}
+
+    @pytest.fixture()
+    def run_dir(self, tmp_path):
+        (tmp_path / "run.json").write_text(json.dumps(self.PREVIOUS))
+        return tmp_path
+
+    def _assert_previous_intact(self, run_dir):
+        assert json.loads((run_dir / "run.json").read_text()) == (
+            self.PREVIOUS
+        )
+        assert sorted(os.listdir(run_dir)) == ["run.json"]
+        status = load_run_status(str(run_dir))
+        assert not any("manifest" in p for p in status.problems)
+
+    def test_failed_segment_registration_keeps_manifest(
+        self, run_dir, monkeypatch
+    ):
+        video = generate(vbench.entry("desktop").spec(2))
+        monkeypatch.setattr(json, "dump", _torn_dump)
+        with ShmDataPlane(run_dir=str(run_dir)) as plane:
+            plane.publish(video)
+        self._assert_previous_intact(run_dir)
+
+    def test_failed_update_keeps_manifest(self, run_dir, monkeypatch):
+        from repro.obs.telemetry import update_manifest
+
+        monkeypatch.setattr(json, "dump", _torn_dump)
+        update_manifest(str(run_dir), {"status": "complete"})
+        self._assert_previous_intact(run_dir)
+
+    def test_merge_and_replace(self, run_dir):
+        from repro.obs.telemetry import update_manifest
+
+        update_manifest(str(run_dir), {"status": "complete"})
+        assert json.loads((run_dir / "run.json").read_text()) == {
+            "experiment_id": "fig04", "status": "complete",
+        }
+        update_manifest(str(run_dir), {"status": "running"}, replace=True)
+        assert json.loads((run_dir / "run.json").read_text()) == {
+            "status": "running",
+        }

@@ -83,8 +83,9 @@ class TestInstrumenter:
         pc = inst.site("test.branch")
         inst.branch(pc, True)
         inst.branch(pc, False)
-        events = inst.branch_events()
-        assert [e.taken for e in events] == [True, False]
+        pcs, taken = inst.branch_arrays()
+        assert list(pcs) == [pc, pc]
+        assert list(taken) == [1, 0]
         assert inst.decision_branches == 2
         assert inst.decision_taken == 1
 
@@ -92,7 +93,7 @@ class TestInstrumenter:
         inst = Instrumenter(record_branches=False)
         inst.branch(inst.site("x.y"), True)
         assert inst.decision_branches == 1
-        assert inst.branch_events() == []
+        assert len(inst.branch_arrays()[0]) == 0
 
     def test_loop_summaries_merge_same_site(self):
         inst = Instrumenter()
@@ -113,12 +114,13 @@ class TestInstrumenter:
         inst = Instrumenter()
         plane = inst.register_plane(proxy_width=64, scale_h=4.0, scale_w=4.0)
         inst.touch(plane, row=2, rows=8, col=0, cols=8, write=False)
-        touches = inst.touches()
-        assert len(touches) == 1
-        t = touches[0]
-        assert t.rows == 32  # 8 proxy rows * scale 4
-        assert t.row_bytes == 32
-        assert t.base_addr == plane.base + 8 * plane.pitch
+        base, rows, row_bytes, pitch, write, repeats = inst.touch_arrays()
+        assert len(base) == 1
+        assert rows[0] == 32  # 8 proxy rows * scale 4
+        assert row_bytes[0] == 32
+        assert base[0] == plane.base + 8 * plane.pitch
+        assert pitch[0] == plane.pitch
+        assert write[0] == 0 and repeats[0] == 1
         assert inst.bytes_read == 32 * 32
 
     def test_touch_write_accounting(self):
@@ -165,8 +167,8 @@ class TestInstrumenter:
             b.kernel("quant", 5)
         a.merge(b)
         assert a.decision_branches == 2
-        assert len(a.branch_events()) == 2
-        assert len(a.touches()) == 1
+        assert len(a.branch_arrays()[0]) == 2
+        assert len(a.touch_arrays()[0]) == 1
         assert a.loop_summaries[0].invocations == 2
         assert a.functions["f"].calls == 1
 

@@ -85,11 +85,7 @@ class TestSinkRegistration:
         with pytest.raises(TraceError):
             inst.branch_arrays()
         with pytest.raises(TraceError):
-            inst.branch_events()
-        with pytest.raises(TraceError):
             inst.touch_arrays()
-        with pytest.raises(TraceError):
-            inst.touches()
 
     def test_merge_refuses_streaming(self):
         streaming, plain = Instrumenter(), Instrumenter()
