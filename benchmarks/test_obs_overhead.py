@@ -3,9 +3,9 @@
 Two contracts are guarded here:
 
 - the **disabled tracer** (see ``repro.obs.span``) costs one
-  module-global read per span site: a grid swept through the
-  instrumented ``sweep_cells`` must run within 5% of an
-  uninstrumented replica of the same loop;
+  module-global read per span site: a grid walked serially through
+  the instrumented ``execute_cells`` (``workers=1``) must run within
+  5% of an uninstrumented replica of the same loop;
 - the **telemetry flush path** (see ``repro.obs.telemetry``) adds
   <2% to a pooled fig04 sweep when a run directory enables it, and
   exactly nothing when disabled (no sink is even constructed).
@@ -21,12 +21,13 @@ stable because both factors are measured tightly.
 import json
 import time
 
-from repro.core.sweeps import sweep_cells
+from repro.core.session import CellSpec
 from repro.errors import QuarantinedCellError
 from repro.experiments import common, fig04_crf_sweep, run_experiment
 from repro.obs.context import ObsContext
 from repro.obs.span import active_tracer
 from repro.obs.telemetry import TelemetrySink
+from repro.parallel.pool import execute_cells
 
 N_CELLS = 200
 BEST_OF = 7
@@ -35,50 +36,59 @@ BEST_OF = 7
 TELEMETRY_OVERHEAD_FLOOR = 0.02
 
 
-def _work(point):
-    """One synthetic sweep cell: enough arithmetic to be a real load."""
-    total = 0.0
-    for i in range(400):
-        total += (point + i) * 0.5 % 7.0
-    return total
+class _StubSession:
+    """Stands in for a Session: each cell is synthetic arithmetic."""
+
+    def report(self, codec, video, crf, preset):
+        """One synthetic sweep cell: enough arithmetic to be a real load."""
+        total = 0.0
+        for i in range(400):
+            total += (crf + i) * 0.5 % 7.0
+        return total
 
 
-def _sweep_baseline(points, run):
-    """``sweep_cells`` with the instrumentation stripped out."""
-    kept_points, kept_results = [], []
-    for index, point in enumerate(points):
+def _serial_baseline(session, specs):
+    """The ``workers=1`` walk of ``execute_cells``, uninstrumented."""
+    results = []
+    for spec in specs:
         try:
-            result = run(point)
+            results.append(session.report(
+                spec.codec, spec.video, spec.crf, spec.preset
+            ))
         except QuarantinedCellError:
-            continue
-        kept_points.append(point)
-        kept_results.append(result)
-    return kept_points, kept_results
+            results.append(None)
+    return results
 
 
-def _best_of(fn):
-    best = float("inf")
+def _best_of(*fns):
+    """Best-of-N wall time of each function, timed in alternation so a
+    drift in host speed hits every function alike."""
+    best = [float("inf")] * len(fns)
     for _ in range(BEST_OF):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for slot, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[slot] = min(best[slot], time.perf_counter() - start)
     return best
 
 
 def test_disabled_tracer_overhead_under_five_percent():
     assert active_tracer() is None, "benchmark requires tracing disabled"
-    points = list(range(N_CELLS))
+    session = _StubSession()
+    specs = [CellSpec("svt-av1", "desktop", crf, 4) for crf in range(N_CELLS)]
 
     # Warm both paths before timing.
-    sweep_cells(points, _work)
-    _sweep_baseline(points, _work)
+    execute_cells(session, specs, workers=1)
+    _serial_baseline(session, specs)
 
-    instrumented = _best_of(lambda: sweep_cells(points, _work))
-    baseline = _best_of(lambda: _sweep_baseline(points, _work))
+    instrumented, baseline = _best_of(
+        lambda: execute_cells(session, specs, workers=1),
+        lambda: _serial_baseline(session, specs),
+    )
 
     ratio = instrumented / baseline
     assert ratio < 1.05, (
-        f"disabled-tracer sweep_cells is {ratio:.3f}x the no-obs "
+        f"disabled-tracer execute_cells is {ratio:.3f}x the no-obs "
         f"baseline ({instrumented * 1e3:.2f}ms vs {baseline * 1e3:.2f}ms)"
     )
 

@@ -8,23 +8,30 @@ top-down shift (x265 turning backend-bound).
 Run:  python examples/thread_scaling_study.py
 """
 
-from repro.core import Session, scale_crf, thread_study
+from repro.core import CellSpec, Session, scale_crf, thread_study
 from repro.experiments.common import THREAD_CODECS
+from repro.parallel.pool import execute_cells
 
 
 def main() -> None:
     session = Session()
     threads = range(1, 9)
+    specs = [
+        CellSpec(
+            codec, "game1", scale_crf(codec, 50),
+            6 if codec in ("svt-av1", "libaom") else 5,
+        )
+        for codec in THREAD_CODECS
+    ]
+    reports = execute_cells(session, specs)
 
     print("speedup vs threads (game1):\n")
     print(f"{'codec':>9}  " + "  ".join(f"T{t}" for t in threads))
     studies = {}
-    for codec in THREAD_CODECS:
-        crf = scale_crf(codec, 50)
-        preset = 6 if codec in ("svt-av1", "libaom") else 5
+    for spec, report in zip(specs, reports):
+        codec = spec.codec
         study = thread_study(
-            codec, "game1", crf, preset, max_threads=8, num_frames=8,
-            session=session,
+            session, spec, report, max_threads=8, num_frames=8
         )
         studies[codec] = study
         speedups = "  ".join(

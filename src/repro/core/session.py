@@ -3,8 +3,7 @@
 Several of the paper's figures are different views of the *same*
 encodes (Figs. 3-7 all read the CRF sweep; Figs. 12-16 share the
 thread-study encodes), so the experiment harness funnels every run
-through a :class:`Session` that caches by configuration.  A process-
-wide default session lets independent benchmark files share work.
+through a :class:`Session` that caches by configuration.
 """
 
 from __future__ import annotations
@@ -76,11 +75,11 @@ class RunKey:
 class CellSpec:
     """One grid point: the four coordinates of a characterization.
 
-    The currency of batch execution — :meth:`Session.prefetch` and
-    :func:`repro.parallel.pool.execute_cells` take iterables of these
-    (plain ``(codec, video, crf, preset)`` tuples are accepted and
-    normalised).  Unlike :class:`RunKey` it carries no frame count;
-    the executing session supplies its own.
+    The currency of grid execution: :func:`repro.parallel.pool.
+    execute_cells` takes iterables of these (plain ``(codec, video,
+    crf, preset)`` tuples are accepted and normalised).  Unlike
+    :class:`RunKey` it carries no frame count; the executing session
+    supplies its own.
     """
 
     codec: str
@@ -241,10 +240,10 @@ class Session:
         """Characterize (or fetch the cached) run.
 
         Raises :class:`~repro.errors.QuarantinedCellError` when a
-        guarded cell fails permanently; sweep loops catch it and keep
-        the rest of the grid.  The quarantine is sticky: asking again
-        re-raises the stored error instead of re-running the cell, so
-        a prefetched grid and a lazy loop observe the same failures.
+        guarded cell fails permanently; the grid walk catches it and
+        keeps the rest of the grid.  The quarantine is sticky: asking
+        again re-raises the stored error instead of re-running the
+        cell, so a grid walked twice observes the same failures.
         """
         key = RunKey(codec, video, crf, preset, self.num_frames)
         quarantined = self._quarantined.get(key)
@@ -276,49 +275,29 @@ class Session:
             self._reports[key] = cached
         return cached
 
-    def prefetch(
-        self,
-        specs: Iterable[tuple],
-        workers: int | str | None = None,
-    ) -> int:
-        """Compute a batch of ``(codec, video, crf, preset)`` cells.
+    def memoised(
+        self, specs: Iterable[CellSpec]
+    ) -> list[PerfReport | None] | None:
+        """The grid's results when this session has settled every cell.
 
-        With an effective worker count above one (explicit argument,
-        ambient :class:`~repro.parallel.pool.ParallelConfig`, or
-        ``REPRO_WORKERS``), the grid fans out over a process pool and
-        later :meth:`report` calls hit this session's in-memory cache;
-        quarantine failures are absorbed here and re-raised by the
-        corresponding :meth:`report` call, exactly where the serial
-        loop would have seen them.  At one worker this is a no-op —
-        the lazy serial loops are already the optimal schedule — so
-        serial runs stay bit-for-bit identical to pre-parallel runs.
-
-        Returns the number of cells dispatched to the pool.
+        One entry per spec, in order, with ``None`` for a quarantined
+        cell; ``None`` overall as soon as any cell still needs
+        computing.  Figures that view cells another figure already ran
+        read them here instead of dispatching them again.
         """
-        from ..parallel.pool import execute_cells, resolve_workers
-
-        specs = list(specs)
-        if resolve_workers(workers) <= 1:
-            # Serial grouping win: generate each distinct clip once, up
-            # front, so the lazy per-cell loops that follow always hit
-            # the video LRU (and batch-friendly callers see all their
-            # inputs materialised together).
-            for name in dict.fromkeys(spec[1] for spec in specs):
-                try:
-                    self.video(name)
-                except VideoError:
-                    continue
-            return 0
-        wanted = []
+        reports: list[PerfReport | None] = []
         for spec in specs:
-            codec, video, crf, preset = spec
-            key = RunKey(codec, video, crf, preset, self.num_frames)
-            if key in self._reports or key in self._quarantined:
-                continue
-            wanted.append(spec)
-        if wanted:
-            execute_cells(self, wanted, workers)
-        return len(wanted)
+            key = RunKey(
+                spec.codec, spec.video, spec.crf, spec.preset,
+                self.num_frames,
+            )
+            if key in self._quarantined:
+                reports.append(None)
+            elif key in self._reports:
+                reports.append(self._reports[key])
+            else:
+                return None
+        return reports
 
     def encode(
         self,
@@ -347,14 +326,3 @@ class Session:
 
     def __len__(self) -> int:
         return len(self._reports) + len(self._encodes)
-
-
-_DEFAULT_SESSION: Session | None = None
-
-
-def default_session() -> Session:
-    """The process-wide shared session (created on first use)."""
-    global _DEFAULT_SESSION
-    if _DEFAULT_SESSION is None:
-        _DEFAULT_SESSION = Session()
-    return _DEFAULT_SESSION

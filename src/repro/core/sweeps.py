@@ -1,72 +1,24 @@
-"""Parameter sweeps: the paper's CRF, preset, codec and thread studies.
+"""Sweep grids: the paper's CRF, preset, codec and thread studies.
 
-Each sweep returns plain lists of :class:`~repro.uarch.perfcounters.
-PerfReport` (or scaling curves), which the experiment modules reshape
-into the exact rows/series of each table and figure.
+Experiments describe each grid as :class:`~repro.core.session.CellSpec`
+points (:func:`sweep_specs` builds cross-products; :func:`scale_crf`
+and :func:`comparable_preset` place every encoder at a comparable
+operating point), execute it once through :func:`repro.parallel.pool.
+execute_cells`, and reshape the returned reports into the exact rows
+and series of each table and figure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, TypeVar
+from typing import Iterable
 
 from ..codecs import SPECS
-from ..errors import (
-    ExperimentError,
-    QuarantinedCellError,
-    SweepInterruptedError,
-)
-from ..obs.span import trace_span
+from ..errors import ExperimentError
 from ..parallel.scaling import ScalingCurve, thread_scaling, topdown_with_threads
 from ..uarch.perfcounters import PerfReport
 from ..uarch.topdown import TopDown
-from .session import CellSpec, Session, default_session
-
-#: The paper's CRF sweep grid (§4.2: "vary CRF from 10 to 60").
-DEFAULT_CRFS: tuple[int, ...] = (10, 20, 30, 40, 50, 60)
-
-#: AV1/VP9-family presets are 0-8 (higher = faster).
-DEFAULT_PRESETS: tuple[int, ...] = tuple(range(9))
-
-_P = TypeVar("_P")
-_R = TypeVar("_R")
-
-
-def sweep_cells(
-    points: Iterable[_P],
-    run: Callable[[_P], _R],
-) -> tuple[list[_P], list[_R]]:
-    """Run ``run`` over grid ``points``, dropping quarantined cells.
-
-    The failure-isolation primitive of every sweep: a cell that raises
-    :class:`~repro.errors.QuarantinedCellError` (the resilient
-    executor's permanent-failure signal) is skipped — its grid point
-    disappears from the returned ``points`` — and every other cell's
-    work is kept.  Without a resilient session no cell ever raises it,
-    so plain sweeps behave exactly as before.
-    """
-    from ..parallel.supervise import drain_requested
-
-    kept_points: list[_P] = []
-    kept_results: list[_R] = []
-    points = list(points)
-    for index, point in enumerate(points):
-        signame = drain_requested()
-        if signame is not None:
-            # A drain request stops the run *between* cells: what
-            # finished is already in the ledger, what did not will be
-            # re-run by --resume.
-            raise SweepInterruptedError(
-                signame, completed=index, total=len(points)
-            )
-        try:
-            with trace_span("sweep.cell", point=str(point), index=index):
-                result = run(point)
-        except QuarantinedCellError:
-            continue
-        kept_points.append(point)
-        kept_results.append(result)
-    return kept_points, kept_results
+from .session import CellSpec, Session
 
 
 def sweep_specs(
@@ -80,12 +32,10 @@ def sweep_specs(
     Scalars are accepted for any axis, so the common one-codec
     one-preset sweeps read naturally::
 
-        session.prefetch(sweep_specs("svt-av1", videos, crfs, 4))
+        execute_cells(session, sweep_specs("svt-av1", videos, crfs, 4))
 
-    The order (codec, then video, then CRF, then preset) matches the
-    experiments' own loop nesting, which keeps serial execution order
-    — and therefore ledger order — identical whether a grid is walked
-    lazily or prefetched.
+    The order (codec, then video, then CRF, then preset) is the order
+    serial execution — and therefore the ledger — visits the cells.
     """
 
     def axis(value) -> tuple:
@@ -131,84 +81,6 @@ def comparable_preset(codec: str, av1_preset: int) -> int:
     return spec.preset_count - 1 - level
 
 
-def crf_sweep(
-    codec: str,
-    video: str,
-    crfs: tuple[int, ...] = DEFAULT_CRFS,
-    preset: int = 4,
-    session: Session | None = None,
-) -> list[PerfReport]:
-    """Characterize one clip across CRF values (paper §4.2).
-
-    Quarantined cells are dropped from the returned list; each
-    report's ``crf`` field identifies its grid point.
-    """
-    session = session or default_session()
-    session.prefetch(
-        CellSpec(codec, video, scale_crf(codec, crf), preset) for crf in crfs
-    )
-    _, reports = sweep_cells(
-        crfs,
-        lambda crf: session.report(codec, video, scale_crf(codec, crf), preset),
-    )
-    return reports
-
-
-def preset_sweep(
-    codec: str,
-    video: str,
-    presets: tuple[int, ...] = DEFAULT_PRESETS,
-    crf: float = 40,
-    session: Session | None = None,
-) -> list[PerfReport]:
-    """Characterize one clip across speed presets (paper §4.5).
-
-    Quarantined cells are dropped from the returned list; each
-    report's ``preset`` field identifies its grid point.
-    """
-    session = session or default_session()
-    session.prefetch(
-        CellSpec(codec, video, crf, preset) for preset in presets
-    )
-    _, reports = sweep_cells(
-        presets,
-        lambda preset: session.report(codec, video, crf, preset),
-    )
-    return reports
-
-
-def codec_comparison(
-    codecs: tuple[str, ...],
-    video: str,
-    crf: float,
-    av1_preset: int = 4,
-    session: Session | None = None,
-) -> list[PerfReport]:
-    """Characterize several encoders at a comparable operating point.
-
-    Quarantined cells are dropped from the returned list; each
-    report's ``codec`` field identifies its encoder.
-    """
-    session = session or default_session()
-    session.prefetch(
-        CellSpec(
-            codec, video, scale_crf(codec, crf),
-            comparable_preset(codec, av1_preset),
-        )
-        for codec in codecs
-    )
-    _, reports = sweep_cells(
-        codecs,
-        lambda codec: session.report(
-            codec,
-            video,
-            scale_crf(codec, crf),
-            comparable_preset(codec, av1_preset),
-        ),
-    )
-    return reports
-
-
 @dataclass(frozen=True)
 class ThreadStudy:
     """Scaling curve plus per-thread-count top-down profiles."""
@@ -219,23 +91,26 @@ class ThreadStudy:
 
 
 def thread_study(
-    codec: str,
-    video: str,
-    crf: float,
-    preset: int,
+    session: Session,
+    spec: CellSpec,
+    report: PerfReport,
     max_threads: int = 8,
     num_frames: int = 8,
-    session: Session | None = None,
 ) -> ThreadStudy:
-    """The paper's §4.6 study for one encoder configuration."""
-    session = session or default_session()
-    result = session.encode(codec, video, crf, preset, num_frames=num_frames)
-    report = session.report(codec, video, crf, preset)
+    """The paper's §4.6 study for one encoder configuration.
+
+    ``report`` is the characterization of grid cell ``spec`` (from the
+    experiment's one walk of its grid); the scaling curve comes from a
+    ``num_frames`` instrumented encode of the same configuration.
+    """
+    result = session.encode(
+        spec.codec, spec.video, spec.crf, spec.preset, num_frames=num_frames
+    )
     curve = thread_scaling(result, max_threads=max_threads)
     topdowns = {
         point.threads: topdown_with_threads(
-            report.topdown, codec, point.threads, point.utilisation
+            report.topdown, spec.codec, point.threads, point.utilisation
         )
         for point in curve.points
     }
-    return ThreadStudy(codec=codec, curve=curve, topdowns=topdowns)
+    return ThreadStudy(codec=spec.codec, curve=curve, topdowns=topdowns)

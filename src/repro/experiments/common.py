@@ -9,13 +9,18 @@ vbench clips.
 from __future__ import annotations
 
 import os
+from typing import Hashable, Mapping, TypeVar
 
 from ..cache import ResultCache
-from ..core.session import Session
+from ..core.session import CellSpec, Session
 from ..obs.span import trace_span
+from ..parallel import pool
 from ..parallel.pool import current_parallel, resolve_cache_dir
 from ..resilience.executor import current_context
+from ..uarch.perfcounters import PerfReport
 from ..video import vbench
+
+_P = TypeVar("_P", bound=Hashable)
 
 #: The five encoders, in the paper's customary order.
 ALL_CODECS: tuple[str, ...] = (
@@ -79,3 +84,52 @@ def make_session() -> Session:
                 else None
             ),
         )
+
+
+def run_grid(
+    session: Session, grid: Mapping[_P, CellSpec]
+) -> dict[_P, PerfReport]:
+    """Walk one experiment grid once; the reports of surviving points.
+
+    ``grid`` maps each figure point to its cell, in walk order.  Every
+    cell runs through :func:`repro.parallel.pool.execute_cells` (looked
+    up on the module at call time; serial runs are its ``workers=1``
+    case) unless the session already settled the whole grid for an
+    earlier figure.  Quarantined cells are dropped: the result maps
+    only the points that have a report, in grid order.
+    """
+    specs = list(grid.values())
+    reports = session.memoised(specs)
+    if reports is None:
+        reports = pool.execute_cells(session, specs)
+    return {
+        point: report
+        for point, report in zip(grid, reports)
+        if report is not None
+    }
+
+
+def crf_curves(
+    session: Session,
+    videos: tuple[str, ...],
+    crfs: tuple[int, ...],
+    preset: int,
+) -> dict[str, list[tuple[int, PerfReport]]]:
+    """The SVT-AV1 CRF sweep that Figs. 3-7 view, as one grid walk.
+
+    Maps each video to its surviving ``(crf, report)`` points in CRF
+    order; a quarantined cell is simply absent from its video's curve.
+    """
+    reports = run_grid(session, {
+        (video, crf): CellSpec("svt-av1", video, crf, preset)
+        for video in videos
+        for crf in crfs
+    })
+    return {
+        video: [
+            (crf, reports[video, crf])
+            for crf in crfs
+            if (video, crf) in reports
+        ]
+        for video in videos
+    }

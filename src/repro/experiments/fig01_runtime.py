@@ -8,9 +8,9 @@ encoder's runtime falls as CRF rises.
 from __future__ import annotations
 
 from ..core.report import ExperimentResult, Series, Table
-from ..core.session import Session
+from ..core.session import CellSpec, Session
 from ..core.sweeps import comparable_preset, scale_crf
-from .common import ALL_CODECS, make_session, sweep_crfs
+from .common import ALL_CODECS, make_session, run_grid, sweep_crfs
 
 EXPERIMENT_ID = "fig01"
 TITLE = "execution time vs CRF per codec (game1)"
@@ -21,26 +21,30 @@ AV1_PRESET = 4
 
 def run(session: Session | None = None, video: str = "game1") -> ExperimentResult:
     """Measure time-vs-CRF curves for all five encoders."""
-    session = session or make_session()
+    if session is None:
+        session = make_session()
     crfs = sweep_crfs()
-    session.prefetch(
-        (codec, video, scale_crf(codec, crf), comparable_preset(codec, AV1_PRESET))
+    reports = run_grid(session, {
+        (codec, crf): CellSpec(
+            codec, video, scale_crf(codec, crf),
+            comparable_preset(codec, AV1_PRESET),
+        )
         for codec in ALL_CODECS
         for crf in crfs
-    )
+    })
     series = []
     rows = []
     for codec in ALL_CODECS:
-        times = []
+        xs, times = [], []
         for crf in crfs:
-            report = session.report(
-                codec, video, scale_crf(codec, crf),
-                comparable_preset(codec, AV1_PRESET),
-            )
+            report = reports.get((codec, crf))
+            if report is None:
+                continue
+            xs.append(crf)
             times.append(report.time_seconds)
             rows.append((codec, crf, report.time_seconds,
                          report.instructions, report.ipc))
-        series.append(Series(name=codec, x=crfs, y=tuple(times)))
+        series.append(Series(name=codec, x=tuple(xs), y=tuple(times)))
     table = Table(
         title="Fig 1: modelled execution time (s)",
         headers=("codec", "crf", "time_s", "instructions", "ipc"),

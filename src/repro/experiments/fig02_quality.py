@@ -9,10 +9,11 @@ game1 and shows the diminishing-returns PSNR/runtime curve.
 from __future__ import annotations
 
 from ..core.report import ExperimentResult, Series, Table
-from ..core.session import Session
+from ..core.session import CellSpec, Session
 from ..core.sweeps import comparable_preset, scale_crf
+from ..uarch.perfcounters import PerfReport
 from ..video.bdrate import RatePoint, bd_rate
-from .common import ALL_CODECS, make_session, sweep_crfs
+from .common import ALL_CODECS, make_session, run_grid, sweep_crfs
 
 EXPERIMENT_ID = "fig02"
 TITLE = "BD-rate vs time (a); PSNR vs time (b)"
@@ -29,16 +30,12 @@ def _fig02_crfs() -> tuple[int, ...]:
 
 
 def _rate_curve(
-    session: Session, codec: str, video: str
+    reports: list[PerfReport],
 ) -> tuple[list[RatePoint], float]:
-    """(RD points, mean runtime) over the CRF sweep for one codec."""
+    """(RD points, mean runtime) over one codec's CRF sweep."""
     points = []
     times = []
-    for crf in _fig02_crfs():
-        report = session.report(
-            codec, video, scale_crf(codec, crf),
-            comparable_preset(codec, AV1_PRESET),
-        )
+    for report in reports:
         points.append(
             RatePoint(bitrate_kbps=report.bitrate_kbps, psnr_db=report.psnr_db)
         )
@@ -60,29 +57,41 @@ def _rate_curve(
 
 def run(session: Session | None = None, video: str = "game1") -> ExperimentResult:
     """Compute BD-rate/runtime per codec and the SVT-AV1 RD curve."""
-    session = session or make_session()
-    session.prefetch(
-        [
-            (codec, video, scale_crf(codec, crf),
-             comparable_preset(codec, AV1_PRESET))
-            for codec in ALL_CODECS
-            for crf in _fig02_crfs()
-        ]
-        + [("svt-av1", video, crf, AV1_PRESET) for crf in _fig02_crfs()]
+    if session is None:
+        session = make_session()
+    crfs = _fig02_crfs()
+    grid = {
+        (codec, crf): CellSpec(
+            codec, video, scale_crf(codec, crf),
+            comparable_preset(codec, AV1_PRESET),
+        )
+        for codec in ALL_CODECS
+        for crf in crfs
+    }
+    grid.update(
+        (("2b", crf), CellSpec("svt-av1", video, crf, AV1_PRESET))
+        for crf in crfs
     )
+    reports = run_grid(session, grid)
+
+    # A codec whose quarantined cells leave fewer than the 4 rate
+    # points a BD fit needs drops out of Fig 2a, and every codec does
+    # when the x264 reference has.
     curves = {}
     mean_time = {}
     for codec in ALL_CODECS:
-        curves[codec], mean_time[codec] = _rate_curve(session, codec, video)
-
-    reference = curves["x264"]
+        kept = [reports[codec, crf] for crf in crfs if (codec, crf) in reports]
+        if len(kept) >= 4:
+            curves[codec], mean_time[codec] = _rate_curve(kept)
+    if "x264" not in curves:
+        curves = {}
     rows = []
     bd_x, bd_y = [], []
-    for codec in ALL_CODECS:
+    for codec, curve in curves.items():
         if codec == "x264":
             bd = 0.0
         else:
-            bd = bd_rate(reference, curves[codec])
+            bd = bd_rate(curves["x264"], curve)
         rows.append((codec, round(bd, 1), mean_time[codec]))
         bd_x.append(mean_time[codec])
         bd_y.append(bd)
@@ -95,8 +104,10 @@ def run(session: Session | None = None, video: str = "game1") -> ExperimentResul
     # Fig 2b: SVT-AV1 PSNR vs time across the CRF sweep.
     psnr_rows = []
     times, psnrs = [], []
-    for crf in _fig02_crfs():
-        report = session.report("svt-av1", video, crf, AV1_PRESET)
+    for crf in crfs:
+        report = reports.get(("2b", crf))
+        if report is None:
+            continue
         psnr_rows.append((crf, report.time_seconds, report.psnr_db))
         times.append(report.time_seconds)
         psnrs.append(report.psnr_db)

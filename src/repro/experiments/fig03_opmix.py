@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..core.report import ExperimentResult, Series, Table
 from ..core.session import Session
-from .common import make_session, sweep_crfs, sweep_videos
+from .common import crf_curves, make_session, sweep_crfs, sweep_videos
 
 EXPERIMENT_ID = "fig03"
 TITLE = "op-mix per video across CRF"
@@ -20,24 +20,21 @@ MIX_KEYS = ("branch", "load", "store", "avx", "sse", "other")
 
 def run(session: Session | None = None) -> ExperimentResult:
     """Measure the mix across the CRF grid for every sweep video."""
-    session = session or make_session()
-    session.prefetch(
-        ("svt-av1", video, crf, PRESET)
-        for video in sweep_videos()
-        for crf in sweep_crfs()
-    )
+    if session is None:
+        session = make_session()
+    curves = crf_curves(session, sweep_videos(), sweep_crfs(), PRESET)
     rows = []
     avx_series = []
-    for video in sweep_videos():
+    for video, points in curves.items():
         avx = []
-        for crf in sweep_crfs():
-            report = session.report("svt-av1", video, crf, PRESET)
+        for crf, report in points:
             mix = report.mix_percent
             rows.append(
                 (video, crf) + tuple(round(mix[k], 2) for k in MIX_KEYS)
             )
             avx.append(mix["avx"])
-        avx_series.append(Series(name=f"avx:{video}", x=sweep_crfs(), y=tuple(avx)))
+        xs = tuple(crf for crf, _ in points)
+        avx_series.append(Series(name=f"avx:{video}", x=xs, y=tuple(avx)))
     table = Table(
         title="Fig 3: instruction mix (%) per video and CRF",
         headers=("video", "crf") + MIX_KEYS,

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from ..core.report import ExperimentResult, Series, Table
 from ..core.session import Session
-from ..core.sweeps import sweep_cells
-from .common import make_session, sweep_crfs, sweep_videos
+from .common import crf_curves, make_session, sweep_crfs, sweep_videos
 
 EXPERIMENT_ID = "fig04"
 TITLE = "CRF sweep: #instructions (a), time (b), IPC (c)"
@@ -25,21 +24,14 @@ def run(session: Session | None = None) -> ExperimentResult:
     drop out of their video's series and table rows; the surviving
     grid is reported intact.
     """
-    session = session or make_session()
-    session.prefetch(
-        ("svt-av1", video, crf, PRESET)
-        for video in sweep_videos()
-        for crf in sweep_crfs()
-    )
+    if session is None:
+        session = make_session()
+    curves = crf_curves(session, sweep_videos(), sweep_crfs(), PRESET)
     rows = []
     series = []
-    for video in sweep_videos():
-        crfs, reports = sweep_cells(
-            sweep_crfs(),
-            lambda crf: session.report("svt-av1", video, crf, PRESET),
-        )
+    for video, points in curves.items():
         insts, times, ipcs = [], [], []
-        for crf, report in zip(crfs, reports):
+        for crf, report in points:
             insts.append(report.instructions)
             times.append(report.time_seconds)
             ipcs.append(report.ipc)
@@ -47,7 +39,7 @@ def run(session: Session | None = None) -> ExperimentResult:
                 (video, crf, report.instructions, report.time_seconds,
                  round(report.ipc, 3))
             )
-        xs = tuple(crfs)
+        xs = tuple(crf for crf, _ in points)
         series.append(Series(name=f"insts:{video}", x=xs, y=tuple(insts)))
         series.append(Series(name=f"time:{video}", x=xs, y=tuple(times)))
         series.append(Series(name=f"ipc:{video}", x=xs, y=tuple(ipcs)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from ..core.report import ExperimentResult, Series, Table
 from ..core.session import Session
-from .common import make_session, sweep_crfs, sweep_videos
+from .common import crf_curves, make_session, sweep_crfs, sweep_videos
 
 EXPERIMENT_ID = "fig05"
 TITLE = "top-down analysis per video across CRF"
@@ -20,18 +20,14 @@ PRESET = 4
 
 def run(session: Session | None = None) -> ExperimentResult:
     """Top-down shares for every (video, CRF) cell."""
-    session = session or make_session()
-    session.prefetch(
-        ("svt-av1", video, crf, PRESET)
-        for video in sweep_videos()
-        for crf in sweep_crfs()
-    )
+    if session is None:
+        session = make_session()
+    curves = crf_curves(session, sweep_videos(), sweep_crfs(), PRESET)
     rows = []
     series = []
-    for video in sweep_videos():
+    for video, points in curves.items():
         backend, frontend = [], []
-        for crf in sweep_crfs():
-            report = session.report("svt-av1", video, crf, PRESET)
+        for crf, report in points:
             td = report.topdown
             rows.append(
                 (
@@ -44,11 +40,12 @@ def run(session: Session | None = None) -> ExperimentResult:
             )
             backend.append(td.backend)
             frontend.append(td.frontend)
+        xs = tuple(crf for crf, _ in points)
         series.append(
-            Series(name=f"backend:{video}", x=sweep_crfs(), y=tuple(backend))
+            Series(name=f"backend:{video}", x=xs, y=tuple(backend))
         )
         series.append(
-            Series(name=f"frontend:{video}", x=sweep_crfs(), y=tuple(frontend))
+            Series(name=f"frontend:{video}", x=xs, y=tuple(frontend))
         )
     table = Table(
         title="Fig 5: top-down slot shares",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..core.report import ExperimentResult, Series, Table
 from ..core.session import Session
-from .common import make_session, sweep_crfs, sweep_videos
+from .common import crf_curves, make_session, sweep_crfs, sweep_videos
 
 EXPERIMENT_ID = "fig06"
 TITLE = "uarch trends across CRF: MPKI + resource stalls"
@@ -26,18 +26,14 @@ PANELS = (
 
 def run(session: Session | None = None) -> ExperimentResult:
     """Collect all eight panels for every (video, CRF) cell."""
-    session = session or make_session()
-    session.prefetch(
-        ("svt-av1", video, crf, PRESET)
-        for video in sweep_videos()
-        for crf in sweep_crfs()
-    )
+    if session is None:
+        session = make_session()
+    curves = crf_curves(session, sweep_videos(), sweep_crfs(), PRESET)
     rows = []
-    series: dict[str, list[float]] = {}
-    for video in sweep_videos():
+    series = []
+    for video, points in curves.items():
         per_panel: dict[str, list[float]] = {p: [] for p in PANELS}
-        for crf in sweep_crfs():
-            report = session.report("svt-av1", video, crf, PRESET)
+        for crf, report in points:
             stalls = report.stalls_per_ki
             values = {
                 "branch_mpki": report.branch.mpki,
@@ -54,8 +50,11 @@ def run(session: Session | None = None) -> ExperimentResult:
             )
             for panel in PANELS:
                 per_panel[panel].append(values[panel])
-        for panel in PANELS:
-            series[f"{panel}:{video}"] = per_panel[panel]
+        xs = tuple(crf for crf, _ in points)
+        series.extend(
+            Series(name=f"{panel}:{video}", x=xs, y=tuple(per_panel[panel]))
+            for panel in PANELS
+        )
     table = Table(
         title="Fig 6: MPKI and stall cycles per KI",
         headers=("video", "crf") + PANELS,
@@ -63,8 +62,5 @@ def run(session: Session | None = None) -> ExperimentResult:
     )
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, tables=[table],
-        series=[
-            Series(name=name, x=sweep_crfs(), y=tuple(values))
-            for name, values in series.items()
-        ],
+        series=series,
     )

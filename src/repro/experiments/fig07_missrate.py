@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..core.report import ExperimentResult, Series, Table
 from ..core.session import Session
-from .common import make_session, sweep_crfs, sweep_videos
+from .common import crf_curves, make_session, sweep_crfs, sweep_videos
 
 EXPERIMENT_ID = "fig07"
 TITLE = "branch miss rate vs CRF"
@@ -19,22 +19,19 @@ PRESET = 4
 
 def run(session: Session | None = None) -> ExperimentResult:
     """Branch miss rate per (video, CRF)."""
-    session = session or make_session()
-    session.prefetch(
-        ("svt-av1", video, crf, PRESET)
-        for video in sweep_videos()
-        for crf in sweep_crfs()
-    )
+    if session is None:
+        session = make_session()
+    curves = crf_curves(session, sweep_videos(), sweep_crfs(), PRESET)
     rows = []
     series = []
-    for video in sweep_videos():
+    for video, points in curves.items():
         rates = []
-        for crf in sweep_crfs():
-            report = session.report("svt-av1", video, crf, PRESET)
+        for crf, report in points:
             rate = report.branch.miss_rate * 100.0
             rows.append((video, crf, round(rate, 3)))
             rates.append(rate)
-        series.append(Series(name=video, x=sweep_crfs(), y=tuple(rates)))
+        xs = tuple(crf for crf, _ in points)
+        series.append(Series(name=video, x=xs, y=tuple(rates)))
     table = Table(
         title="Fig 7: branch miss rate (%)",
         headers=("video", "crf", "miss_rate_pct"),

@@ -9,8 +9,8 @@ show no strong preset trend.
 from __future__ import annotations
 
 from ..core.report import ExperimentResult, Series, Table
-from ..core.session import Session
-from .common import make_session, sweep_presets
+from ..core.session import CellSpec, Session
+from .common import make_session, run_grid, sweep_presets
 
 EXPERIMENT_ID = "fig11"
 TITLE = "SVT-AV1 preset sweep (game1)"
@@ -21,14 +21,17 @@ CRF = 40
 
 def run(session: Session | None = None, video: str = "game1") -> ExperimentResult:
     """Sweep presets 0-8 at fixed CRF."""
-    session = session or make_session()
-    presets = sweep_presets()
-    session.prefetch(("svt-av1", video, CRF, preset) for preset in presets)
+    if session is None:
+        session = make_session()
+    reports = run_grid(session, {
+        preset: CellSpec("svt-av1", video, CRF, preset)
+        for preset in sweep_presets()
+    })
+    presets = tuple(reports)
     rows_a = []
     rows_c = []
     times, bitrates, psnrs = [], [], []
-    for preset in presets:
-        report = session.report("svt-av1", video, CRF, preset)
+    for preset, report in reports.items():
         td = report.topdown
         stalls = report.stalls_per_ki
         rows_a.append(

@@ -17,9 +17,9 @@ SVT-AV1 early and flattens; x265 never exceeds ~1.3x.
 from __future__ import annotations
 
 from ..core.report import ExperimentResult, Series, Table
-from ..core.session import Session
+from ..core.session import CellSpec, Session
 from ..core.sweeps import scale_crf, thread_study
-from .common import THREAD_CODECS, fast_mode, make_session
+from .common import THREAD_CODECS, fast_mode, make_session, run_grid
 
 #: Figure id -> (x264 preset, x264 CRF).
 CONFIGS: dict[str, tuple[int, int]] = {
@@ -45,7 +45,8 @@ def run(
     max_threads: int = 8,
 ) -> ExperimentResult:
     """Run the four-encoder thread study for one figure's config."""
-    session = session or make_session()
+    if session is None:
+        session = make_session()
     x264_preset, x264_crf = CONFIGS[figure]
     av1_preset, av1_crf = _COMPANION[figure]
     num_frames = 4 if fast_mode() else 8
@@ -57,18 +58,18 @@ def run(
         "svt-av1": (av1_crf, av1_preset),
     }
 
-    session.prefetch(
-        (codec, video) + settings[codec] for codec in THREAD_CODECS
-    )
+    grid = {
+        codec: CellSpec(codec, video, *settings[codec])
+        for codec in THREAD_CODECS
+    }
+    reports = run_grid(session, grid)
     rows = []
     series = []
     threads_axis = tuple(range(1, max_threads + 1))
-    for codec in THREAD_CODECS:
-        crf, preset = settings[codec]
+    for codec, report in reports.items():
         study = thread_study(
-            codec, video, crf, preset,
+            session, grid[codec], report,
             max_threads=max_threads, num_frames=num_frames,
-            session=session,
         )
         speedups = tuple(p.speedup for p in study.curve.points)
         for threads, speedup in zip(threads_axis, speedups):

@@ -9,9 +9,9 @@ working set and spin on row progress).
 from __future__ import annotations
 
 from ..core.report import ExperimentResult, Series, Table
-from ..core.session import Session
+from ..core.session import CellSpec, Session
 from ..core.sweeps import scale_crf, thread_study
-from .common import THREAD_CODECS, fast_mode, make_session
+from .common import THREAD_CODECS, fast_mode, make_session, run_grid
 
 EXPERIMENT_ID = "fig16"
 TITLE = "top-down vs thread count (game1)"
@@ -26,25 +26,23 @@ def run(
     max_threads: int = 8,
 ) -> ExperimentResult:
     """Per-encoder top-down at 1..max_threads."""
-    session = session or make_session()
+    if session is None:
+        session = make_session()
     num_frames = 4 if fast_mode() else 8
-    session.prefetch(
-        (
-            codec,
-            video,
-            scale_crf(codec, AV1_CRF),
+    grid = {
+        codec: CellSpec(
+            codec, video, scale_crf(codec, AV1_CRF),
             AV1_PRESET if codec in ("svt-av1", "libaom") else 5,
         )
         for codec in THREAD_CODECS
-    )
+    }
+    reports = run_grid(session, grid)
     rows = []
     series = []
-    for codec in THREAD_CODECS:
-        crf = scale_crf(codec, AV1_CRF)
-        preset = AV1_PRESET if codec in ("svt-av1", "libaom") else 5
+    for codec, report in reports.items():
         study = thread_study(
-            codec, video, crf, preset,
-            max_threads=max_threads, num_frames=num_frames, session=session,
+            session, grid[codec], report,
+            max_threads=max_threads, num_frames=num_frames,
         )
         backend = []
         for threads in sorted(study.topdowns):

@@ -8,8 +8,8 @@ every vbench clip at the paper's capture point.
 from __future__ import annotations
 
 from ..core.report import ExperimentResult, Table
-from ..core.session import Session
-from .common import make_session, sweep_videos
+from ..core.session import CellSpec, Session
+from .common import make_session, run_grid, sweep_videos
 
 EXPERIMENT_ID = "table2"
 TITLE = "SVT-AV1 instruction mix (preset 8, CRF 63)"
@@ -17,13 +17,13 @@ TITLE = "SVT-AV1 instruction mix (preset 8, CRF 63)"
 
 def run(session: Session | None = None) -> ExperimentResult:
     """Measure the mix for every sweep video."""
-    session = session or make_session()
-    session.prefetch(
-        ("svt-av1", video, 63, 8) for video in sweep_videos()
-    )
+    if session is None:
+        session = make_session()
+    reports = run_grid(session, {
+        video: CellSpec("svt-av1", video, 63, 8) for video in sweep_videos()
+    })
     rows = []
-    for video in sweep_videos():
-        report = session.report("svt-av1", video, crf=63, preset=8)
+    for video, report in reports.items():
         mix = report.mix_percent
         rows.append(
             (

@@ -3,11 +3,11 @@
 One characterization cell is CPU-bound, pure Python and completely
 independent of every other cell, which makes the sweep grids of the
 paper's figures embarrassingly parallel.  :func:`execute_cells` is the
-one engine both execution modes share:
+one grid walk every experiment uses, in both execution modes:
 
-- **serial** (``workers=1``, the default) iterates the specs exactly
-  as :func:`repro.core.sweeps.sweep_cells` always has — same
-  ``sweep.cell`` span, same quarantine-drops-the-cell semantics;
+- **serial** (``workers=1``, the default) runs the specs in order,
+  each under a ``sweep.cell`` span, with a quarantined cell's entry
+  left ``None``;
 - **pooled** (``workers>1``) dispatches each not-yet-computed cell to
   a :class:`~concurrent.futures.ProcessPoolExecutor` worker.  The
   worker reconstructs a :class:`~repro.core.session.Session` and runs
@@ -349,16 +349,6 @@ def resolve_run_dir(run_dir: str | None = None) -> str | None:
     return run_dir
 
 
-def run_spec(session: Session, spec: CellSpec) -> Any:
-    """Execute one grid point — the single cell-execution function.
-
-    Both the serial loop and every pool worker funnel through this
-    (and thus through ``Session.report``), so quarantine handling, span
-    attributes and ledger records cannot diverge between modes.
-    """
-    return session.report(spec.codec, spec.video, spec.crf, spec.preset)
-
-
 # -- worker side -----------------------------------------------------
 
 
@@ -487,7 +477,10 @@ def _worker_cell(job: _CellJob) -> dict[str, Any]:
         with activate_obs(obs):
             cell_start = obs.clock.monotonic()
             try:
-                payload = to_jsonable(run_spec(session, job.spec))
+                payload = to_jsonable(session.report(
+                    job.spec.codec, job.spec.video, job.spec.crf,
+                    job.spec.preset,
+                ))
             except QuarantinedCellError as exc:
                 status = QUARANTINED
                 error = f"{type(exc.cause).__name__}: {exc.cause}"
@@ -664,7 +657,15 @@ def _merge_result(
 def _execute_serial(
     session: Session, specs: list[CellSpec]
 ) -> list[Any | None]:
-    """The ``workers=1`` engine: the classic sweep loop, spec-driven."""
+    """The ``workers=1`` engine: each cell in order, in this process.
+
+    Cells run through ``Session.report`` — the code path every pool
+    worker runs too — so quarantine handling, span attributes and
+    ledger records cannot diverge between modes.
+    """
+    # Formatting a cell's point label costs as much as a disabled
+    # span, so it is only done when a tracer records it.
+    traced = active_tracer() is not None
     results: list[Any | None] = []
     for index, spec in enumerate(specs):
         signame = drain_requested()
@@ -672,9 +673,12 @@ def _execute_serial(
             raise SweepInterruptedError(
                 signame, completed=index, total=len(specs)
             )
+        point = str(spec) if traced else None
         try:
-            with trace_span("sweep.cell", point=str(spec), index=index):
-                results.append(run_spec(session, spec))
+            with trace_span("sweep.cell", point=point, index=index):
+                results.append(session.report(
+                    spec.codec, spec.video, spec.crf, spec.preset
+                ))
         except QuarantinedCellError:
             results.append(None)
     return results
@@ -948,7 +952,7 @@ def _execute_pooled(
             # Replay from the ledger in the parent: cheap, and the
             # RESUMED bookkeeping stays identical to the serial path.
             with trace_span("sweep.cell", point=str(spec), index=index):
-                run_spec(session, spec)
+                session.report(spec.codec, spec.video, spec.crf, spec.preset)
             continue
         pending[key] = (index, spec)
 
@@ -1188,10 +1192,11 @@ def execute_cells(
 ) -> list[Any | None]:
     """Execute a batch of grid points serially or over a process pool.
 
-    Returns one entry per input spec, in input order: the cell's
-    :class:`~repro.uarch.perfcounters.PerfReport`, or ``None`` where
-    the cell was quarantined (callers drop those points, exactly as
-    :func:`~repro.core.sweeps.sweep_cells` does).
+    The one grid walk of every experiment: serial execution is its
+    ``workers=1`` case.  Returns one entry per input spec, in input
+    order: the cell's :class:`~repro.uarch.perfcounters.PerfReport`,
+    or ``None`` where the cell was quarantined (callers drop those
+    points from their artifact).
     """
     normalised = [CellSpec.of(spec) for spec in specs]
     count = resolve_workers(workers)

@@ -11,7 +11,8 @@ Two reuse levers keep a full validation cheap:
 
 - experiments that accept a ``session=`` share *one* session, so the
   CRF-sweep figures (fig04/05/06/07) characterize each (video, CRF)
-  cell once instead of once per figure;
+  cell once: fig04 walks the grid and the later figures read the
+  settled cells from the session without dispatching them again;
 - the session attaches the content-addressed result cache when a
   ``cache_dir`` is configured, so a validation pass over a sweep that
   already ran is served from disk.

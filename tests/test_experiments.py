@@ -34,15 +34,33 @@ from repro.experiments import (  # noqa: E402
 )
 
 
+#: The reduced grids, by the helper name each figure module binds.
+TINY_GRIDS = {
+    "sweep_videos": lambda: ("desktop", "game1"),
+    "sweep_crfs": lambda: (10, 60),
+    "sweep_presets": lambda: (4, 8),
+}
+
+
 @pytest.fixture(scope="module", autouse=True)
 def tiny_grids():
-    """Shrink the experiment grids for test speed."""
-    saved = (common.sweep_videos, common.sweep_crfs, common.sweep_presets)
-    common.sweep_videos = lambda: ("desktop", "game1")
-    common.sweep_crfs = lambda: (10, 60)
-    common.sweep_presets = lambda: (4, 8)
-    yield
-    common.sweep_videos, common.sweep_crfs, common.sweep_presets = saved
+    """Shrink the experiment grids for test speed.
+
+    Each figure module binds the grid helpers by name at import, so
+    every binding is patched where it is looked up (patching
+    ``common`` alone would not reach them).
+    """
+    modules = (
+        common, fig01_runtime, fig02_quality, fig04_crf_sweep,
+        fig05_topdown, fig06_uarch, fig07_missrate, fig08_10_cbp,
+        fig11_preset, table2,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        for module in modules:
+            for name, grid in TINY_GRIDS.items():
+                if hasattr(module, name):
+                    patch.setattr(module, name, grid)
+        yield
 
 
 @pytest.fixture(scope="module")

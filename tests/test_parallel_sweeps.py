@@ -34,7 +34,14 @@ from repro.parallel.pool import (  # noqa: E402
     resolve_workers,
 )
 from repro.resilience import FaultPlan, RunLedger  # noqa: E402
-from tests.test_resilience_integration import synthetic_report  # noqa: E402
+from repro.resilience.executor import (  # noqa: E402
+    ExecutionPolicy,
+    ResilienceGuard,
+)
+from tests.test_resilience_integration import (  # noqa: E402
+    CRF_SWEEP_FIGURES,
+    synthetic_report,
+)
 
 WORKERS = 4
 
@@ -64,9 +71,7 @@ def stub_characterize(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def tiny_grids(monkeypatch):
-    from repro.experiments import fig04_crf_sweep
-
-    for module in (common, fig04_crf_sweep):
+    for module in (common, *CRF_SWEEP_FIGURES.values()):
         monkeypatch.setattr(module, "sweep_videos",
                             lambda: ("desktop", "game1"))
         monkeypatch.setattr(module, "sweep_crfs", lambda: (10, 35, 60))
@@ -165,25 +170,18 @@ class TestPooledDeterminism:
         assert len(results) == 3
         assert results[0] == results[1] == results[2]
 
-    def test_prefetch_is_noop_at_one_worker(self, stub_characterize):
-        session = Session(num_frames=3)
-        dispatched = session.prefetch(
-            [("svt-av1", "desktop", 35.0, 6)], workers=1
-        )
-        assert dispatched == 0
-        assert stub_characterize == []
-
 
 class TestPooledResilience:
+    @pytest.mark.parametrize("experiment_id", sorted(CRF_SWEEP_FIGURES))
     def test_permanent_fault_quarantines_same_cell_as_serial(
-        self, stub_characterize
+        self, stub_characterize, experiment_id
     ):
         plan = FaultPlan.parse("cell:svt-av1:desktop:10:*@fatal@times=*")
         serial = run_experiment(
-            "fig04", max_retries=1, fault_plan=plan, workers=1
+            experiment_id, max_retries=1, fault_plan=plan, workers=1
         )
         pooled = run_experiment(
-            "fig04", max_retries=1, fault_plan=plan, workers=WORKERS
+            experiment_id, max_retries=1, fault_plan=plan, workers=WORKERS
         )
         assert pooled.tables == serial.tables
         assert pooled.series == serial.series
@@ -192,12 +190,24 @@ class TestPooledResilience:
         assert quarantined[0]["cell"].startswith("cell:svt-av1:desktop:10")
         assert len(pooled.tables[0].rows) == GRID_CELLS - 1
 
-    def test_quarantine_is_sticky_after_prefetch(self, stub_characterize):
+    def test_quarantine_is_sticky_across_walks(self, stub_characterize):
+        # A second walk of a grid (a later figure viewing the same
+        # cells) keeps the quarantine: no re-dispatch, same drop.
         plan = FaultPlan.parse("cell:svt-av1:desktop:10:*@fatal@times=*")
-        result = run_experiment(
-            "fig04", max_retries=0, fault_plan=plan, workers=WORKERS
+        session = Session(
+            num_frames=3,
+            guard=ResilienceGuard(ExecutionPolicy(faults=plan)),
         )
-        assert len(result.tables[0].rows) == GRID_CELLS - 1
+        first = run_experiment("fig04", session=session, workers=WORKERS)
+        dispatched = len(session.guard.outcomes)
+        second = run_experiment("fig05", session=session, workers=WORKERS)
+        assert dispatched == GRID_CELLS
+        assert len(session.guard.outcomes) == dispatched
+        assert len(first.tables[0].rows) == GRID_CELLS - 1
+        assert len(second.tables[0].rows) == GRID_CELLS - 1
+        assert second.get_series("backend:desktop").x == (35, 60)
+        with pytest.raises(QuarantinedCellError):
+            session.report("svt-av1", "desktop", 10, 4)
 
     def test_worker_retries_reach_parent_provenance(self, stub_characterize):
         plan = FaultPlan.parse(
@@ -241,7 +251,7 @@ class TestPooledResilience:
 
 
 class TestPooledTelemetry:
-    def test_worker_spans_reparented_under_sweep_cells(
+    def test_worker_spans_reparented_under_cell_spans(
         self, stub_characterize, tmp_path
     ):
         obs = ObsContext()
@@ -352,11 +362,6 @@ class TestQuarantinePlaceholders:
             return synthetic_report(codec, video, crf=crf, preset=preset)
 
         monkeypatch.setattr(session_mod, "characterize", exploding)
-        from repro.resilience.executor import (
-            ExecutionPolicy,
-            ResilienceGuard,
-        )
-
         session = Session(
             num_frames=3, guard=ResilienceGuard(ExecutionPolicy())
         )

@@ -24,7 +24,15 @@ import repro.core.session as session_mod  # noqa: E402
 from repro.core import ExperimentResult, from_jsonable, to_jsonable  # noqa: E402
 from repro.core.report import RESULT_SCHEMA_VERSION, Series, Table  # noqa: E402
 from repro.errors import CheckpointError, ExperimentError  # noqa: E402
-from repro.experiments import common, run_experiment  # noqa: E402
+from repro.experiments import (  # noqa: E402
+    common,
+    fig03_opmix,
+    fig04_crf_sweep,
+    fig05_topdown,
+    fig06_uarch,
+    fig07_missrate,
+    run_experiment,
+)
 from repro.resilience import FaultPlan, RunLedger  # noqa: E402
 from repro.uarch.perfcounters import BranchReport, PerfReport  # noqa: E402
 from repro.uarch.pipeline import CoreModelResult, ResourceStalls  # noqa: E402
@@ -50,7 +58,8 @@ def synthetic_report(codec, video, crf=0.0, preset=0):
         video=video, codec=codec, crf=crf, preset=preset,
         proxy_instructions=1e9, instructions=2e9 - crf * 1e6, cycles=1e9,
         time_seconds=1.0 - crf * 0.001, ipc=2.0,
-        mix_percent={"branch": 5.0, "load": 25.0},
+        mix_percent={"branch": 5.0, "load": 25.0, "store": 12.0,
+                     "avx": 30.0, "sse": 15.0, "other": 13.0},
         branch=branch, cache_mpki={"l1d": 20.0, "l2": 5.0, "llc": 1.0},
         topdown=topdown, core=core,
         bits=1e6, bitrate_kbps=1000.0, psnr_db=40.0,
@@ -75,13 +84,22 @@ def stub_characterize(monkeypatch):
     return calls
 
 
+#: The figures that view the SVT-AV1 CRF sweep, by experiment id.
+CRF_SWEEP_FIGURES = {
+    "fig03": fig03_opmix,
+    "fig04": fig04_crf_sweep,
+    "fig05": fig05_topdown,
+    "fig06": fig06_uarch,
+    "fig07": fig07_missrate,
+}
+
+
 @pytest.fixture(autouse=True)
 def tiny_grids(monkeypatch):
-    # fig04 binds the grid helpers by name at import time, so patch its
-    # module references (patching ``common`` alone would not reach it).
-    from repro.experiments import fig04_crf_sweep
-
-    for module in (common, fig04_crf_sweep):
+    # Each figure binds the grid helpers by name at import time, so
+    # patch its module references (patching ``common`` alone would
+    # not reach them).
+    for module in (common, *CRF_SWEEP_FIGURES.values()):
         monkeypatch.setattr(module, "sweep_videos",
                             lambda: ("desktop", "game1"))
         monkeypatch.setattr(module, "sweep_crfs", lambda: (10, 35, 60))
@@ -113,18 +131,46 @@ class TestFaultsAbsorbedByRetries:
 
 
 class TestPermanentFaultQuarantine:
-    def test_one_cell_quarantined_rest_intact(self, stub_characterize):
+    @pytest.mark.parametrize(
+        "experiment_id, series",
+        [
+            ("fig03", "avx:{}"),
+            ("fig04", "ipc:{}"),
+            ("fig05", "backend:{}"),
+            ("fig06", "l1d_mpki:{}"),
+            ("fig07", "{}"),
+        ],
+    )
+    def test_one_cell_quarantined_rest_intact(
+        self, stub_characterize, experiment_id, series
+    ):
         plan = FaultPlan.parse("cell:svt-av1:desktop:10:*@fatal@times=*")
-        result = run_experiment("fig04", max_retries=1, fault_plan=plan)
+        result = run_experiment(
+            experiment_id, max_retries=1, fault_plan=plan
+        )
         assert len(result.tables[0].rows) == GRID_CELLS - 1
         quarantined = result.provenance["quarantined"]
         assert len(quarantined) == 1
         assert quarantined[0]["cell"].startswith("cell:svt-av1:desktop:10")
         # The failed cell's series point is dropped, not faked.
-        desktop = result.get_series("ipc:desktop")
+        desktop = result.get_series(series.format("desktop"))
         assert desktop.x == (35, 60)
-        game1 = result.get_series("ipc:game1")
+        assert len(desktop.y) == 2
+        game1 = result.get_series(series.format("game1"))
         assert game1.x == (10, 35, 60)
+
+    def test_fig02_drops_a_rate_curve_too_short_to_fit(
+        self, stub_characterize
+    ):
+        # One lost SVT-AV1 cell leaves 3 of the 4 rate points a BD fit
+        # needs: its Fig 2a row goes, Fig 2b keeps the other points.
+        plan = FaultPlan.parse("cell:svt-av1:game1:10:*@fatal@times=*")
+        result = run_experiment("fig02", max_retries=0, fault_plan=plan)
+        assert len(result.provenance["quarantined"]) == 1
+        codecs = result.tables[0].column("codec")
+        assert "svt-av1" not in codecs
+        assert "x264" in codecs and len(codecs) == 4
+        assert tuple(result.tables[1].column("crf")) == (25, 45, 60)
 
 
 class TestResume:
