@@ -54,10 +54,11 @@ BENCH_PATH = os.path.join(os.path.dirname(__file__), "..",
 
 #: Regression floors (acceptance criteria of the kernel-layer PR).
 REPLAY_SPEEDUP_FLOOR = 3.0
-#: Re-baselined: the encode (kernel-mode-independent) dominates the
-#: cold cell more on current hardware, compressing the end-to-end
-#: ratio; the seed tree measures 1.15-1.45x here depending on load.
-CELL_SPEEDUP_FLOOR = 1.1
+#: With the stacked RD-search kernels and the radix-sorted cache
+#: classifier, three runs on a 2-core host measured 2.9-4.1x against
+#: the scalar reference; the floor sits a quarter under the lowest to
+#: absorb load noise, and it only ever goes up.
+CELL_SPEEDUP_FLOOR = 2.2
 #: Batched multi-trace replay vs the per-trace loop (same kernels).
 REPLAY_BATCH_SPEEDUP_FLOOR = 1.5
 #: Buffered-capture peak over streaming-capture peak (tracemalloc).

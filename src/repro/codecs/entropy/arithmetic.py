@@ -13,6 +13,8 @@ Probabilities are expressed as ``P(bit == 0)`` in ``[1, 255]`` out of
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ...errors import CodecError
 
 _TOP = 1 << 24
@@ -51,25 +53,39 @@ class BoolEncoder:
 
     def encode(self, bit: int, prob: int = 128) -> None:
         """Encode one bit with ``P(bit == 0) = prob / 256``."""
+        self.encode_many((bit,), (prob,))
+
+    def encode_many(self, bits: Sequence[int], probs: Sequence[int]) -> None:
+        """:meth:`encode` each ``(bit, prob)`` pair in order, with the
+        coder state held in locals for the whole run."""
         if self._finished:
             raise CodecError("encoder already finished")
-        _check_prob(prob)
-        bound = (self._range >> 8) * prob
-        if bit:
-            self._low += bound
-            self._range -= bound
-        else:
-            self._range = bound
-        while self._range < _TOP:
-            self._range = (self._range << 8) & _MASK32
-            self._shift_low()
+        low, span = self._low, self._range
+        for bit, prob in zip(bits, probs):
+            if not 1 <= prob <= 255:
+                self._low, self._range = low, span
+                _check_prob(prob)
+            bound = (span >> 8) * prob
+            if bit:
+                low += bound
+                span -= bound
+            else:
+                span = bound
+            while span < _TOP:
+                span = (span << 8) & _MASK32
+                self._low = low
+                self._shift_low()
+                low = self._low
+        self._low, self._range = low, span
 
     def encode_literal(self, value: int, bits: int) -> None:
         """Encode ``bits`` raw bits of ``value`` MSB-first at p = 1/2."""
         if bits < 0 or value < 0 or value >= 1 << max(bits, 1):
             raise CodecError(f"literal {value} does not fit in {bits} bits")
-        for shift in range(bits - 1, -1, -1):
-            self.encode((value >> shift) & 1, 128)
+        self.encode_many(
+            [(value >> shift) & 1 for shift in range(bits - 1, -1, -1)],
+            [128] * bits,
+        )
 
     def finish(self) -> bytes:
         """Flush and return the complete bitstream."""

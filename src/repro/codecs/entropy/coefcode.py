@@ -95,35 +95,87 @@ def fast_rate_estimate_batch(levels: np.ndarray) -> float:
     return float(per_tile.sum())
 
 
-def fast_rate_estimate_groups(levels: np.ndarray) -> list[float]:
-    """:func:`fast_rate_estimate_batch` of every ``(n, s, s)`` group in
-    a ``(g, n, s, s)`` stack, in one vectorised pass.
+@functools.lru_cache(maxsize=None)
+def _scan_rank(size: int) -> np.ndarray:
+    """1-based zigzag scan position of each raster-order coefficient."""
+    rank = np.empty(size * size, dtype=np.int32)
+    rank[zigzag_order(size)] = np.arange(1, size * size + 1, dtype=np.int32)
+    rank.setflags(write=False)
+    return rank
 
-    The per-tile model is evaluated over the flattened stack with the
-    exact expressions of the per-group call, and each group's total is
-    the sum of its own (contiguous) row of per-tile estimates — so
-    every returned value is bit-identical to calling
-    :func:`fast_rate_estimate_batch` on that group alone.
+
+@functools.lru_cache(maxsize=None)
+def _group_layout(
+    sizes: tuple[int, ...], groups: int, pixels: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of a ``(len(sizes), groups, pixels)`` level stack
+    whose row ``k`` holds ``groups`` raster-ordered tilings by
+    ``sizes[k]``-square tiles.
+
+    Returns the per-row scan rank of every coefficient (``(S, 1, P)``),
+    the flat offset of every tile, the tile index where each group
+    starts, and the tile count of each group.
     """
-    if levels.ndim != 4 or levels.shape[2] != levels.shape[3]:
-        raise CodecError(f"expected (g, n, s, s) level stack, got {levels.shape}")
-    g, n, size, _ = levels.shape
-    if g == 0 or n == 0:
-        return [0.0] * g
-    order = zigzag_order(size)
-    scanned = levels.reshape(g * n, -1)[:, order]
-    nonzero = scanned != 0
-    any_nz = nonzero.any(axis=1)
-    eob = np.where(
-        any_nz, size * size - nonzero[:, ::-1].argmax(axis=1), 0
-    ).astype(np.float64)
-    mags = np.abs(scanned).astype(np.float64)
-    mag_bits = np.where(
-        nonzero, 2.0 * np.ceil(np.log2(mags + 1.0)) + 1.0, 0.0
-    ).sum(axis=1)
-    sign_bits = nonzero.sum(axis=1).astype(np.float64)
-    per_tile = np.where(any_nz, 1.0 + eob + mag_bits + sign_bits, 1.0).reshape(g, n)
-    return per_tile.sum(axis=1).tolist()
+    ranks, tile_starts, group_starts, tiles = [], [], [], []
+    for row, size in enumerate(sizes):
+        area = size * size
+        if pixels % area:
+            raise CodecError(f"{pixels} coefficients do not tile by {size}")
+        ranks.append(np.tile(_scan_rank(size), pixels // area))
+        for group in range(groups):
+            base = (row * groups + group) * pixels
+            group_starts.append(len(tile_starts))
+            tile_starts.extend(range(base, base + pixels, area))
+            tiles.append(pixels // area)
+    tables = (
+        np.stack(ranks)[:, None, :],
+        np.array(tile_starts, dtype=np.intp),
+        np.array(group_starts, dtype=np.intp),
+        np.array(tiles, dtype=np.int64),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def rate_estimate_groups(
+    levels: np.ndarray, sizes: tuple[int, ...]
+) -> list[float]:
+    """:func:`fast_rate_estimate_batch` of every group of a level stack,
+    in integer arithmetic.
+
+    ``levels`` is ``(S, G, P)``: row ``k`` holds ``G`` groups, each a
+    flattened ``(P / s**2, s, s)`` tile stack with ``s = sizes[k]``.
+    Estimates come back group by group in row-major order.
+
+    Every term of the per-tile model is an integer, and it folds into
+    ``1 + eob + 2 * sum(bit_length(|level|) + (level != 0))``: a
+    magnitude ``m >= 1`` costs ``2 * ceil(log2(m + 1)) + 1`` bits plus
+    a sign bit, and ``ceil(log2(m + 1))`` is ``m``'s bit length, which
+    is the binary exponent :func:`numpy.frexp` returns (0 for a zero
+    level, so an empty tile costs its 1-bit coded-block flag).  The
+    end of block is the largest 1-based scan position holding a
+    nonzero level, so no scan gather is needed; tiles and groups are
+    contiguous segments, reduced with ``reduceat``.  Integer sums are
+    exact in any order, and every group total is far below 2**53, so
+    each value equals the float model's sum of per-tile estimates.
+    """
+    if levels.ndim != 3 or levels.shape[0] != len(sizes):
+        raise CodecError(
+            f"expected an ({len(sizes)}, G, P) level stack, got {levels.shape}"
+        )
+    rows, groups, pixels = levels.shape
+    if groups == 0:
+        return []
+    rank, tile_starts, group_starts, tiles = _group_layout(
+        tuple(sizes), groups, pixels
+    )
+    nonzero = levels != 0
+    tile_eob = np.maximum.reduceat((nonzero * rank).reshape(-1), tile_starts)
+    eob = np.add.reduceat(tile_eob, group_starts)
+    _, bit_length = np.frexp(levels)
+    coded = (bit_length + nonzero).reshape(rows * groups, pixels).sum(axis=1)
+    return (tiles + eob + 2 * coded).astype(np.float64).tolist()
 
 
 @functools.lru_cache(maxsize=None)
@@ -242,9 +294,12 @@ class CoefficientCoder:
         """Scalar-identical ``code_block`` with the per-bit overhead hoisted.
 
         Context names are interned per block class, the cost tables are
-        indexed as plain lists and the :class:`AdaptiveBit` update is
-        inlined; the coded bit sequence, accumulated ``bits`` float and
-        adapted context state are bit-identical to the scalar path.
+        indexed as plain lists, the :class:`AdaptiveBit` update is
+        inlined and the coded bits go to the range coder in one
+        :meth:`~repro.codecs.entropy.arithmetic.BoolEncoder.encode_many`
+        run per block (flushed ahead of each literal escape); the coded
+        bit sequence, accumulated ``bits`` float and adapted context
+        state are bit-identical to the scalar path.
         """
         scanned = scan_levels(levels)
         nonzero = np.nonzero(scanned)[0]
@@ -277,6 +332,9 @@ class CoefficientCoder:
             return bits, symbols
 
         scanned_list = scanned.tolist()
+        coded_bits: list[int] = []
+        coded_probs: list[int] = []
+        put_bit, put_prob = coded_bits.append, coded_probs.append
         eob = int(nonzero[-1]) + 1
         last_pos = eob - 1
         for pos in range(eob):
@@ -291,8 +349,8 @@ class CoefficientCoder:
                 ctxmap[sig_names[band]] = ctx
             prob = ctx.prob
             bits += cost_one[prob] if sig else cost_zero[prob]
-            if encoder is not None:
-                encoder.encode(sig, prob)
+            put_bit(sig)
+            put_prob(prob)
             if sig:
                 prob -= prob >> rate
             else:
@@ -318,8 +376,8 @@ class CoefficientCoder:
                     ctxmap[name] = ctx
                 prob = ctx.prob
                 mag_bits += cost_one[prob] if more else cost_zero[prob]
-                if encoder is not None:
-                    encoder.encode(more, prob)
+                put_bit(more)
+                put_prob(prob)
                 if more:
                     prob -= prob >> rate
                 else:
@@ -333,15 +391,17 @@ class CoefficientCoder:
                 remainder = magnitude - 4
                 nbits = max(1, remainder.bit_length())
                 if encoder is not None:
+                    encoder.encode_many(coded_bits, coded_probs)
+                    coded_bits.clear()
+                    coded_probs.clear()
                     encoder.encode_literal(nbits - 1, 4)
                     encoder.encode_literal(remainder, nbits)
                 mag_bits += 4 + nbits
                 symbols += 4 + nbits
             bits += mag_bits
 
-            sign = 1 if level < 0 else 0
-            if encoder is not None:
-                encoder.encode(sign, 128)
+            put_bit(1 if level < 0 else 0)
+            put_prob(128)
             bits += 1.0
             symbols += 1
 
@@ -352,12 +412,14 @@ class CoefficientCoder:
                 ctxmap[last_names[band]] = ctx
             prob = ctx.prob
             bits += cost_one[prob] if last else cost_zero[prob]
-            if encoder is not None:
-                encoder.encode(last, prob)
+            put_bit(last)
+            put_prob(prob)
             if last:
                 prob -= prob >> rate
             else:
                 prob += (256 - prob) >> rate
             ctx.prob = min(255, max(1, prob))
             symbols += 1
+        if encoder is not None:
+            encoder.encode_many(coded_bits, coded_probs)
         return bits, symbols

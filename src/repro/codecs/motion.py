@@ -21,6 +21,8 @@ can charge the correct kernel work.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +108,24 @@ def _padded_window(
     return ref[np.ix_(rows, cols)]
 
 
+@functools.lru_cache(maxsize=None)
+def _block_offsets(height: int, width: int, pitch: int) -> np.ndarray:
+    """Flat offsets of a ``height x width`` block in rows of ``pitch``."""
+    offsets = np.arange(height)[:, None] * pitch + np.arange(width)
+    offsets.setflags(write=False)
+    return offsets
+
+
+def _gather_blocks(
+    plane: np.ndarray, starts: list[int], height: int, width: int
+) -> np.ndarray:
+    """``(k, h, w)`` copies of the blocks of a C-contiguous ``plane``
+    (2-D, or a stack of equally-shaped planes) whose top-left samples
+    sit at flat indices ``starts``."""
+    offsets = _block_offsets(height, width, plane.shape[-1])
+    return plane.reshape(-1)[np.add.outer(starts, offsets)]
+
+
 def block_sad(a: np.ndarray, b: np.ndarray) -> float:
     """Sum of absolute differences of two equally-shaped blocks."""
     if a.shape != b.shape:
@@ -155,6 +175,8 @@ def full_search(
 #: Large- and small-diamond offsets (integer pel).
 _LARGE_DIAMOND = ((-2, 0), (-1, -1), (-1, 1), (0, -2), (0, 2), (1, -1), (1, 1), (2, 0))
 _SMALL_DIAMOND = ((-1, 0), (0, -1), (0, 1), (1, 0))
+#: The centre and every point either diamond evaluates around it.
+_RING = ((0, 0),) + _LARGE_DIAMOND + _SMALL_DIAMOND
 
 
 def diamond_search(
@@ -179,21 +201,41 @@ def diamond_search(
                        margin + dc : margin + dc + width]
         return float(np.abs(block.astype(np.int32) - src32).sum())
 
+    def visit(cr: int, cc: int) -> None:
+        """Hook run whenever the search centre moves (no-op here)."""
+
     if kernels.vectorized_enabled():
-        # Hoist the uint8 -> int32 widening out of the candidate loop:
-        # every SAD then reduces over a view of one pre-widened window
-        # instead of converting its own slice.  The differences are the
-        # same integers, so the SADs are equal, not merely close.
+        # Each time the centre moves, the SADs of every diamond point
+        # around it that the descent may evaluate next are computed in
+        # one stacked pass over views of the pre-widened window; the
+        # walk then reads them in its own order.  SADs are integer
+        # sums, exact in any order, so each equals the per-candidate
+        # value and every decision replays unchanged.
         win32 = window.astype(np.int32)
+        pitch = win32.shape[1]
+        known: dict[tuple[int, int], float] = {}
+
+        def visit(cr: int, cc: int) -> None:  # noqa: F811
+            todo = [
+                (cr + dr, cc + dc) for dr, dc in _RING
+                if abs(cr + dr) <= search_range
+                and abs(cc + dc) <= search_range
+                and (cr + dr, cc + dc) not in known
+            ]
+            if not todo:
+                return
+            starts = [(margin + r) * pitch + margin + c for r, c in todo]
+            blocks = _gather_blocks(win32, starts, height, width)
+            sads = np.abs(blocks - src32).reshape(len(todo), -1).sum(axis=1)
+            known.update(zip(todo, sads.tolist()))
 
         def sad_at(dr: int, dc: int) -> float:  # noqa: F811
-            block = win32[margin + dr : margin + dr + height,
-                          margin + dc : margin + dc + width]
-            return float(np.abs(block - src32).sum())
+            return float(known[(dr, dc)])
 
     cur_r, cur_c = start.row // 8, start.col // 8
     cur_r = max(-search_range, min(search_range, cur_r))
     cur_c = max(-search_range, min(search_range, cur_c))
+    visit(cur_r, cur_c)
     best = sad_at(cur_r, cur_c)
     positions = 1
     improvements: list[bool] = [True]
@@ -210,6 +252,7 @@ def diamond_search(
             improvements.append(better)
             if better:
                 best, cur_r, cur_c, improved = cand, nr, nc, True
+                visit(cur_r, cur_c)
         if not improved:
             break
     for dr, dc in _SMALL_DIAMOND:
@@ -222,6 +265,7 @@ def diamond_search(
         improvements.append(better)
         if better:
             best, cur_r, cur_c = cand, nr, nc
+            visit(cur_r, cur_c)
     return SearchResult(
         mv=MotionVector(cur_r * 8, cur_c * 8), sad=best, positions=positions,
         improvements=improvements,
@@ -253,7 +297,10 @@ def interpolate(ref: np.ndarray, row: int, col: int, height: int, width: int,
         + window[1 : height + 1, 1 : width + 1] * ac
     )
     pred = top * (1 - ar) + bot * ar
-    return np.clip(np.rint(pred), 0, 255).astype(np.uint8)
+    np.rint(pred, out=pred)
+    np.maximum(pred, 0, out=pred)
+    np.minimum(pred, 255, out=pred)
+    return pred.astype(np.uint8)
 
 
 def subpel_refine(
@@ -326,30 +373,35 @@ def subpel_refine(
         if fast:
             # The level's eight candidates share at most three distinct
             # horizontal fractions, so the column blend is computed once
-            # per fraction over the whole window and every candidate's
-            # prediction is a two-tap row blend of views into it.  Each
-            # element goes through the exact tap expressions of
-            # ``sad_at``, so the SADs are bit-identical.
+            # per fraction over the whole window; every candidate's
+            # prediction is then a two-tap row blend of windows gathered
+            # from it, all eight in one stacked pass, and each SAD
+            # reduces over its own contiguous row.  Every element goes
+            # through the exact tap expressions of ``sad_at`` and a row
+            # reduction sums like the whole-block one, so the SADs are
+            # bit-identical.
             taps = []
             for mv in candidates:
                 fr = row + mv.row / 8.0 - (base_r - margin)
                 fc = col + mv.col / 8.0 - (base_c - margin)
-                r0 = int(np.floor(fr))
-                c0 = int(np.floor(fc))
+                r0 = math.floor(fr)
+                c0 = math.floor(fc)
                 taps.append((r0, c0, fr - r0, fc - c0))
-            hblend: dict[float, np.ndarray] = {}
-            for _, _, _, ac in taps:
-                if ac not in hblend:
-                    hblend[ac] = (
-                        window_f[:, :-1] * (1 - ac) + window_f[:, 1:] * ac
-                    )
-            sads = []
-            for r0, c0, ar, ac in taps:
-                cols = hblend[ac]
-                top = cols[r0 : r0 + height, c0 : c0 + width]
-                bot = cols[r0 + 1 : r0 + height + 1, c0 : c0 + width]
-                pred = top * (1 - ar) + bot * ar
-                sads.append(float(np.abs(src_f - pred).sum()))
+            fractions = sorted({ac for _, _, _, ac in taps})
+            ac = np.array(fractions)[:, None, None]
+            hblend = window_f[None, :, :-1] * (1 - ac) + window_f[None, :, 1:] * ac
+            plane_rows, pitch = hblend.shape[1:]
+            starts = [
+                (fractions.index(fc) * plane_rows + r0) * pitch + c0
+                for r0, c0, _, fc in taps
+            ]
+            top = _gather_blocks(hblend, starts, height, width)
+            bot = _gather_blocks(
+                hblend, [start + pitch for start in starts], height, width
+            )
+            ar = np.array([tap[2] for tap in taps])[:, None, None]
+            pred = top * (1 - ar) + bot * ar
+            sads = np.abs(src_f - pred).reshape(len(taps), -1).sum(axis=1).tolist()
         else:
             sads = None
         for index, mv in enumerate(candidates):

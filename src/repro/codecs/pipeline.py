@@ -29,6 +29,7 @@ at low CRF almost every refinement still pays for itself (DESIGN.md
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +53,7 @@ from .entropy.cdf import ContextSet, signed_exp_golomb_bits
 from .entropy.coefcode import (
     CoefficientCoder,
     fast_rate_estimate_batch,
-    fast_rate_estimate_groups,
+    rate_estimate_groups,
 )
 from .motion import (
     ZERO_MV,
@@ -64,7 +65,7 @@ from .motion import (
     mv_bits,
     subpel_refine,
 )
-from .predict import IntraMode, extend_neighbours, predict
+from .predict import IntraMode, extend_neighbours, predict, predict_stack
 from .quant import Quantizer, crf_to_qindex, qindex_to_step, rd_lambda
 from .transform import (
     TRANSFORM_SIZES,
@@ -77,6 +78,7 @@ from .transform import (
     satd_batch,
     tile_block,
     untile_block,
+    untile_stack,
 )
 
 #: Flat rate estimates (bits) for non-coefficient syntax during search.
@@ -135,6 +137,78 @@ def _pad_to_multiple(data: np.ndarray, multiple: int) -> np.ndarray:
     return data
 
 
+@functools.lru_cache(maxsize=None)
+def _tx_sizes(height: int, width: int, depth: int) -> tuple[int, ...]:
+    """Square transform sizes a ``depth``-deep TX search tries on a
+    ``height x width`` block, largest first."""
+    base = min(height, width, 32)
+    if base not in TRANSFORM_SIZES:
+        base = max(s for s in TRANSFORM_SIZES if s <= base)
+    sizes = []
+    size = base
+    while size >= 4 and len(sizes) < depth:
+        if height % size == 0 and width % size == 0:
+            sizes.append(size)
+        size //= 2
+    return tuple(sizes) or (base,)
+
+
+@functools.lru_cache(maxsize=None)
+def _dc_positions(sizes: tuple[int, ...], count: int, pixels: int) -> np.ndarray:
+    """Flat DC indices of a ``(len(sizes), count, pixels)`` coefficient
+    stack whose row ``k`` holds ``count`` raster-ordered tilings by
+    ``sizes[k]``-square tiles."""
+    positions = np.concatenate([
+        (row * count + group) * pixels + np.arange(0, pixels, size * size)
+        for row, size in enumerate(sizes)
+        for group in range(count)
+    ])
+    positions.setflags(write=False)
+    return positions
+
+
+def _to_pixels(values: np.ndarray) -> np.ndarray:
+    """Round float samples to uint8 pixels (``clip(rint(x), 0, 255)``)."""
+    out = np.rint(values)
+    np.maximum(out, 0, out=out)
+    np.minimum(out, 255, out=out)
+    return out.astype(np.uint8)
+
+
+def _filtered_predictions(pred: np.ndarray, count: int) -> list[np.ndarray]:
+    """The first ``count`` MC filter outputs of a float64 prediction.
+
+    Filter 0 is the base interpolator; 1 ("smooth") low-passes the
+    prediction; 2 ("sharp") adds a mild unsharp mask — the
+    regular/smooth/sharp switchable filters of VP9/AV1.
+    """
+    outputs = [pred.astype(np.uint8)]
+    if count > 1:
+        # Slice-assembled circular shifts: same wrap-around semantics
+        # (and the same operand order, hence bit-identical sums) as
+        # four np.roll calls, without their per-call indexing overhead.
+        down = np.empty_like(pred)
+        down[0] = pred[-1]
+        down[1:] = pred[:-1]
+        up = np.empty_like(pred)
+        up[-1] = pred[0]
+        up[:-1] = pred[1:]
+        right = np.empty_like(pred)
+        right[:, 0] = pred[:, -1]
+        right[:, 1:] = pred[:, :-1]
+        left = np.empty_like(pred)
+        left[:, -1] = pred[:, 0]
+        left[:, :-1] = pred[:, 1:]
+        blurred = (pred + down + up + right + left) / 5.0
+        outputs.append(_to_pixels(blurred))
+        if count > 2:
+            sharp = 2.0 * pred - blurred
+            np.maximum(sharp, 0, out=sharp)
+            np.minimum(sharp, 255, out=sharp)
+            outputs.append(_to_pixels(sharp))
+    return outputs
+
+
 class PipelineEncoder(Encoder):
     """The shared encode engine; codec modules subclass only to bind a
     spec (see e.g. :mod:`repro.codecs.av1`)."""
@@ -182,6 +256,27 @@ class _EncodeRun:
         # Per-pixel MC interpolation cost scales with filter length
         # (baseline kernel cost is calibrated for a 4-tap filter).
         self.mc_cost = spec.interp_taps / 4.0
+        # Kernel path, resolved once per encode (see repro.kernels).
+        self.vectorized = kernels.vectorized_enabled()
+        self.tx_types = tuple(TX_TYPES[: self.profile.tx_types])
+        # Branch sites the search loops hit on every candidate,
+        # interned once instead of formatted per call.
+        family, site = spec.family, inst.site
+        self.site_tx_cbf = site(f"{family}.tx.cbf")
+        self.site_tx_improve = site(f"{family}.tx.cand.improve")
+        self.site_mode_improve = [
+            site(f"{family}.md.mode{index}.improve")
+            for index in range(len(spec.intra_modes))
+        ]
+        self.site_edgefilter = site(f"{family}.md.edgefilter.improve")
+        self.site_satd_rowloop = site(f"{family}.satd.rowloop")
+        self.site_mode_exit = site(f"{family}.md.mode_exit")
+        self.site_sad_improve = [
+            site(f"{family}.sad.improve{slot}") for slot in range(8)
+        ]
+        self.site_filt_improve = [
+            site(f"{family}.md.filt{filt}.improve") for filt in range(3)
+        ]
         scale_h, scale_w = footprint_scale
         self.src_plane: PlaneHandle = inst.register_plane(
             video.width, scale_h, scale_w
@@ -210,7 +305,13 @@ class _EncodeRun:
         self.bool_encoder: BoolEncoder | None = None
         self.frame_symbol_count = 0
         self._leaf_cache: dict[BlockRect, tuple[float, LeafPlan]] = {}
-        self._energy_cache: dict[BlockRect, float] = {}
+        # Per-superblock intra search results of the vectorized path:
+        # rect -> (candidate modes, (m, h, w) int32 residual stack).
+        # ``self.recon`` only changes in ``_apply_plan``, after the
+        # superblock's search, so the residuals stay valid until then.
+        self._intra_cache: dict[
+            BlockRect, tuple[tuple[IntraMode, ...], np.ndarray]
+        ] = {}
         self._chroma_planes: dict[str, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
@@ -280,7 +381,7 @@ class _EncodeRun:
                     # SPLIT's quadrants and HORZ_A's squares), exactly
                     # as real encoders reuse mode-decision results.
                     self._leaf_cache = {}
-                    self._energy_cache = {}
+                    self._intra_cache = {}
                     with inst.function(
                         f"{self.spec.family}.encode_superblock"
                     ):
@@ -471,28 +572,11 @@ class _EncodeRun:
             rect.row : rect.row + rect.height, rect.col : rect.col + rect.width
         ].astype(np.int32)
 
-    def _source_energy(self, rect: BlockRect) -> float:
-        """Total AC energy of the source block (variance x pixels).
-
-        Candidate search cannot improve a block whose own signal energy
-        sits below the quantisation floor — no matter how noisy the
-        reference is — so early-exit tests bound the prediction error
-        by this reference-independent quantity.
-        """
-        cached = self._energy_cache.get(rect)
-        if cached is None:
-            block = self._src_block(rect)
-            cached = float(block.var()) * rect.pixels
-            self.inst.kernel("variance", rect.pixels)
-            self._energy_cache[rect] = cached
-        return cached
-
     def _intra_candidates(
         self, rect: BlockRect, mode_budget: int
     ) -> list[IntraMode]:
         """SATD-rank intra modes; returns modes ordered best-first."""
         inst = self.inst
-        family = self.spec.family
         src_block = self._src_block(rect)
         above, left = extend_neighbours(
             self.recon, rect.row, rect.col, rect.height, rect.width
@@ -508,60 +592,44 @@ class _EncodeRun:
             smooth_left = left.copy()
             smooth_left[1:-1] = (left[:-2] + 2 * left[1:-1] + left[2:]) / 4.0
 
-        modes = self.spec.intra_modes[:mode_budget]
+        modes = tuple(self.spec.intra_modes[:mode_budget])
         scores: list[tuple[float, int, IntraMode]] = []
         best_score = float("inf")
         exit_threshold = self._mode_exit_threshold(rect.pixels)
 
-        # Vectorized-kernels path: candidate SATDs (and edge-filtered
-        # alternatives) are evaluated in stacked Hadamard passes of a
-        # few modes at a time, then the scalar decision loop — charges,
-        # branches and the early exit included — replays over the
-        # precomputed scores.  The replay consumes scores in the same
-        # order with the same float values, so the ranking and every
-        # recorded event are bit-identical; chunking bounds the
-        # speculative work past the early exit to the tail of one
-        # chunk.
+        # Vectorized-kernels path: every candidate prediction (and
+        # every edge-filtered alternative) comes out of one stacked
+        # predictor call, and all their SATDs out of one Hadamard pass;
+        # the scalar decision loop — charges, branches and the early
+        # exit included — then replays over the precomputed scores.
+        # The replay consumes the same float values in the same order,
+        # so the ranking and every recorded event are bit-identical.
+        # The residual stack is kept for ``_rd_cost_intra``.
         satd_scores: list[float] | None = None
         alt_satd: dict[int, float] = {}
-        use_batch = kernels.vectorized_enabled() and len(modes) > 1
-        if use_batch:
-            satd_scores = []
-            _chunk = 4
-
-            def _ensure_scores(upto: int) -> None:
-                while len(satd_scores) < upto:
-                    lo = len(satd_scores)
-                    chunk = modes[lo : lo + _chunk]
-                    residuals = np.stack([
-                        src_block - predict(
-                            mode, above, left, rect.height, rect.width
-                        ).astype(np.int32)
-                        for mode in chunk
-                    ])
-                    satd_scores.extend(satd_batch(residuals))
-                    if self.profile.intra_edge_filter:
-                        alt_modes = [
-                            (lo + offset, mode)
-                            for offset, mode in enumerate(chunk)
-                            if mode.value.startswith("d")
-                        ]
-                        if alt_modes:
-                            alt_residuals = np.stack([
-                                src_block - predict(
-                                    mode, smooth_above, smooth_left,
-                                    rect.height, rect.width,
-                                ).astype(np.int32)
-                                for _, mode in alt_modes
-                            ])
-                            for (idx, _), value in zip(
-                                alt_modes, satd_batch(alt_residuals)
-                            ):
-                                alt_satd[idx] = value
+        if self.vectorized:
+            residuals = src_block[None] - predict_stack(
+                modes, above, left, rect.height, rect.width
+            ).astype(np.int32)
+            self._intra_cache[rect] = (modes, residuals)
+            alt_index = [
+                index for index, mode in enumerate(modes)
+                if self.profile.intra_edge_filter and mode.value.startswith("d")
+            ]
+            stack = residuals
+            if alt_index:
+                alt_preds = predict_stack(
+                    tuple(modes[index] for index in alt_index),
+                    smooth_above, smooth_left, rect.height, rect.width,
+                )
+                stack = np.concatenate(
+                    (residuals, src_block[None] - alt_preds.astype(np.int32))
+                )
+            satd_scores = satd_batch(stack)
+            alt_satd = dict(zip(alt_index, satd_scores[len(modes):]))
 
         for index, mode in enumerate(modes):
             if satd_scores is not None:
-                _ensure_scores(index + 1)
                 inst.kernel("intra_pred", rect.pixels)
                 score = satd_scores[index] + self.lam * _MODE_SIGNAL_BITS
                 inst.kernel("satd", rect.pixels)
@@ -585,24 +653,16 @@ class _EncodeRun:
                         self.lam * _MODE_SIGNAL_BITS
                     )
                     inst.kernel("satd", rect.pixels)
-                inst.branch(
-                    inst.site(f"{family}.md.edgefilter.improve"),
-                    alt_score < score,
-                )
+                inst.branch(self.site_edgefilter, alt_score < score)
                 score = min(score, alt_score)
-            inst.loop(
-                inst.site(f"{family}.satd.rowloop"),
-                trip_count=max(rect.height // 4, 1),
-            )
+            inst.loop(self.site_satd_rowloop, trip_count=max(rect.height // 4, 1))
             scores.append((score, index, mode))
             improved = score < best_score
-            inst.branch(
-                inst.site(f"{family}.md.mode{index}.improve"), improved
-            )
+            inst.branch(self.site_mode_improve[index], improved)
             if improved:
                 best_score = score
             early = best_score < exit_threshold
-            inst.branch(inst.site(f"{family}.md.mode_exit"), early)
+            inst.branch(self.site_mode_exit, early)
             if early:
                 break
         scores.sort(key=lambda entry: entry[0])
@@ -854,10 +914,9 @@ class _EncodeRun:
             # Replay the search kernel's per-candidate compare branches
             # into the branch trace (a handful of static sites, as the
             # unrolled SIMD search loop has).
+            sites = self.site_sad_improve
             for pos, improved in enumerate(result.improvements):
-                inst.branch(
-                    inst.site(f"{family}.sad.improve{pos & 7}"), improved
-                )
+                inst.branch(sites[pos & 7], improved)
         return result
 
     # ------------------------------------------------------------------
@@ -869,70 +928,36 @@ class _EncodeRun:
         mv: MotionVector,
         ref_index: int,
         filt: int,
-        _base: np.ndarray | None = None,
+        _filtered: list[np.ndarray] | None = None,
     ) -> np.ndarray:
-        """Motion-compensated prediction with one of three MC filters.
+        """Motion-compensated prediction with one of three MC filters
+        (see :func:`_filtered_predictions`).
 
-        Filter 0 is the base interpolator; 1 ("smooth") low-passes the
-        prediction; 2 ("sharp") adds a mild unsharp mask — the
-        regular/smooth/sharp switchable filters of VP9/AV1.
-
-        ``_base`` short-circuits the (deterministic) base interpolation
-        when the caller already holds it for this ``(rect, mv, ref)`` —
-        the interpolation cost is still charged, so instrumentation is
-        unchanged.
+        ``_filtered`` short-circuits the (deterministic) interpolation
+        and filtering when the caller already holds the filter outputs
+        for this ``(rect, mv, ref)`` — the work is still charged, so
+        instrumentation is unchanged.
         """
         inst = self.inst
-        ref = self.refs[ref_index]
-        if _base is not None:
-            pred = _base
-        else:
+        if _filtered is None:
             pred = interpolate(
-                ref, rect.row, rect.col, rect.height, rect.width, mv
+                self.refs[ref_index], rect.row, rect.col, rect.height,
+                rect.width, mv,
             ).astype(np.float64)
+            _filtered = _filtered_predictions(pred, filt + 1)
         inst.kernel("mc_interp", rect.pixels * self.mc_cost)
         inst.touch(self.ref_planes[ref_index], rect.row, rect.height,
                    rect.col, rect.width)
-        if filt == 0:
-            return pred.astype(np.uint8)
-        # Slice-assembled circular shifts: same wrap-around semantics (and
-        # the same operand order, hence bit-identical sums) as four
-        # np.roll calls, without their per-call indexing overhead.
-        down = np.empty_like(pred)
-        down[0] = pred[-1]
-        down[1:] = pred[:-1]
-        up = np.empty_like(pred)
-        up[-1] = pred[0]
-        up[:-1] = pred[1:]
-        right = np.empty_like(pred)
-        right[:, 0] = pred[:, -1]
-        right[:, 1:] = pred[:, :-1]
-        left = np.empty_like(pred)
-        left[:, -1] = pred[:, 0]
-        left[:, :-1] = pred[:, 1:]
-        blurred = (pred + down + up + right + left) / 5.0
-        inst.kernel("mc_interp", rect.pixels * self.mc_cost)
-        if filt == 1:
-            out = blurred
-        else:
-            out = np.clip(2.0 * pred - blurred, 0, 255)
-        return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+        if filt > 0:
+            inst.kernel("mc_interp", rect.pixels * self.mc_cost)
+        return _filtered[filt]
 
     # ------------------------------------------------------------------
     # RD cost via transform-size search
     # ------------------------------------------------------------------
-    def _tx_candidate_sizes(self, height: int, width: int) -> list[int]:
+    def _tx_candidate_sizes(self, height: int, width: int) -> tuple[int, ...]:
         """Transform sizes the profile's TX search evaluates."""
-        base = min(height, width, 32)
-        if base not in TRANSFORM_SIZES:
-            base = max(s for s in TRANSFORM_SIZES if s <= base)
-        sizes = []
-        size = base
-        while size >= 4 and len(sizes) < self.profile.tx_search_depth:
-            if height % size == 0 and width % size == 0:
-                sizes.append(size)
-            size //= 2
-        return sizes or [base]
+        return _tx_sizes(height, width, self.profile.tx_search_depth)
 
     def _transform_rd(
         self, rect: BlockRect, residual: np.ndarray
@@ -945,7 +970,7 @@ class _EncodeRun:
         configuration are processed as a single batched matmul, as a
         SIMD transform kernel would.
         """
-        if kernels.vectorized_enabled():
+        if self.vectorized:
             return self._transform_rd_fast(rect, residual)
         inst = self.inst
         best: TransformChoice | None = None
@@ -995,58 +1020,71 @@ class _EncodeRun:
     ) -> TransformChoice:
         """Type-batched :meth:`_transform_rd` (vectorized-kernels path).
 
-        For each candidate size, all transform types run as one stacked
-        forward/quantise/rate/dequantise/inverse pass; the scalar
-        decision loop is then replayed in the original candidate order
-        over the precomputed per-type results, so every instruction
-        charge, branch outcome and RD comparison — and the returned
-        choice — is bit-identical to the unbatched search (DESIGN.md
-        "Kernel architecture").
+        Every candidate size and transform type runs in one stacked
+        pass: each size's forward and inverse transforms are one matmul
+        pair over all types, and quantisation, rate, dequantisation,
+        SSE and coded-block flags run once over the ``(size, type,
+        pixel)`` stack.  The scalar decision loop is then replayed in
+        the original candidate order over the precomputed results, so
+        every instruction charge, branch outcome and RD comparison —
+        and the returned choice — is bit-identical to the unbatched
+        search (DESIGN.md "Kernel architecture").
         """
         inst = self.inst
         best: TransformChoice | None = None
         best_cost = float("inf")
-        tx_types = tuple(TX_TYPES[: self.profile.tx_types])
-        for size_idx, tx in enumerate(
-            self._tx_candidate_sizes(rect.height, rect.width)
-        ):
-            tiles = tile_block(residual, tx)
-            coeff_stack = forward_tx_stack(tiles, tx_types)
-            level_stack = self.quant.quantize(coeff_stack)
-            bits_by_type = fast_rate_estimate_groups(level_stack)
-            recon_stack = inverse_tx_stack(
-                self.quant.dequantize(level_stack), tx_types
+        tx_types = self.tx_types
+        count = len(tx_types)
+        height, width, pixels = rect.height, rect.width, rect.pixels
+        sizes = self._tx_candidate_sizes(height, width)
+        coeffs = np.empty((len(sizes), count, pixels))
+        for size_idx, tx in enumerate(sizes):
+            coeffs[size_idx] = forward_tx_stack(
+                tile_block(residual, tx), tx_types
+            ).reshape(count, pixels)
+        dc = _dc_positions(sizes, count, pixels)
+        levels = self.quant.quantize(coeffs, dc=dc)
+        bits_by_group = rate_estimate_groups(levels, sizes)
+        coeffs = self.quant.dequantize(levels, dc=dc)
+        recon = np.empty((len(sizes), count, height, width))
+        for size_idx, tx in enumerate(sizes):
+            recon[size_idx] = untile_stack(
+                inverse_tx_stack(
+                    coeffs[size_idx].reshape(count, -1, tx, tx), tx_types
+                ),
+                height, width,
             )
+        # Per-candidate SSE and coded-block flag, each reduced over its
+        # own contiguous row: the same values as the per-type calls.
+        groups = len(sizes) * count
+        sse_by_group = (
+            ((residual - recon) ** 2).reshape(groups, -1).sum(axis=1)
+        ).tolist()
+        cbf_by_group = levels.reshape(groups, -1).any(axis=1).tolist()
+        group = 0
+        for size_idx, tx in enumerate(sizes):
             for type_idx, tx_type in enumerate(tx_types):
-                inst.kernel("fdct", rect.pixels)
-                levels = level_stack[type_idx]
-                inst.kernel("quant", rect.pixels)
-                bits = bits_by_type[type_idx]
-                inst.kernel("rate_estimate", rect.pixels * 0.25)
-                inst.kernel("dequant", rect.pixels)
-                inst.kernel("idct", rect.pixels)
-                recon_res = untile_block(
-                    recon_stack[type_idx], rect.height, rect.width
-                )
-                sse = float(((residual - recon_res) ** 2).sum())
-                inst.kernel("variance", rect.pixels)
-                nonzero = bool(levels.any())
-                inst.branch(inst.site(f"{self.spec.family}.tx.cbf"), nonzero)
+                inst.kernel("fdct", pixels)
+                inst.kernel("quant", pixels)
+                bits = bits_by_group[group]
+                inst.kernel("rate_estimate", pixels * 0.25)
+                inst.kernel("dequant", pixels)
+                inst.kernel("idct", pixels)
+                sse = sse_by_group[group]
+                inst.kernel("variance", pixels)
+                inst.branch(self.site_tx_cbf, cbf_by_group[group])
                 cost = sse + self.lam * bits
                 better = cost < best_cost
-                if size_idx > 0 or type_idx > 0:
-                    inst.branch(
-                        inst.site(
-                            f"{self.spec.family}.tx.cand.improve"
-                        ),
-                        better,
-                    )
+                if group > 0:
+                    inst.branch(self.site_tx_improve, better)
                 if better:
                     best_cost = cost
                     best = TransformChoice(
                         tx_size=tx, tx_type=tx_type, sse=sse, bits=bits,
-                        recon_residual=recon_res, levels=levels,
+                        recon_residual=recon[size_idx, type_idx],
+                        levels=levels[size_idx, type_idx].reshape(-1, tx, tx),
                     )
+                group += 1
         assert best is not None
         return best
 
@@ -1054,13 +1092,19 @@ class _EncodeRun:
         self, rect: BlockRect, mode: IntraMode
     ) -> tuple[float, float]:
         """Full RD cost of one intra mode; returns (cost, pred_error)."""
-        above, left = extend_neighbours(
-            self.recon, rect.row, rect.col, rect.height, rect.width
-        )
-        pred = predict(mode, above, left, rect.height, rect.width)
-        self.inst.kernel("intra_pred", rect.pixels)
-        src_block = self._src_block(rect)
-        residual = (src_block - pred.astype(np.int32)).astype(np.float64)
+        searched = self._intra_cache.get(rect)
+        if searched is not None:
+            modes, residuals = searched
+            self.inst.kernel("intra_pred", rect.pixels)
+            residual = residuals[modes.index(mode)].astype(np.float64)
+        else:
+            above, left = extend_neighbours(
+                self.recon, rect.row, rect.col, rect.height, rect.width
+            )
+            pred = predict(mode, above, left, rect.height, rect.width)
+            self.inst.kernel("intra_pred", rect.pixels)
+            src_block = self._src_block(rect)
+            residual = (src_block - pred.astype(np.int32)).astype(np.float64)
         pred_error = float((residual * residual).sum())
         choice = self._transform_rd(rect, residual)
         cost = choice.sse + self.lam * (choice.bits + _MODE_SIGNAL_BITS)
@@ -1082,25 +1126,26 @@ class _EncodeRun:
         best_err = float("inf")
         num_filters = max(1, self.profile.interp_filters)
         # Every filter variant post-processes the same base
-        # interpolation, so the fast path computes it once and feeds it
-        # to each charged :meth:`_mc_pred` call.
-        base: np.ndarray | None = None
-        if kernels.vectorized_enabled() and num_filters > 1:
-            base = interpolate(
-                self.refs[ref_index], rect.row, rect.col,
-                rect.height, rect.width, mv,
-            ).astype(np.float64)
+        # interpolation (and the sharp filter the smooth one's blur), so
+        # the fast path filters it once and feeds the outputs to each
+        # charged :meth:`_mc_pred` call.
+        filtered: list[np.ndarray] | None = None
+        if self.vectorized and num_filters > 1:
+            filtered = _filtered_predictions(
+                interpolate(
+                    self.refs[ref_index], rect.row, rect.col,
+                    rect.height, rect.width, mv,
+                ).astype(np.float64),
+                num_filters,
+            )
         for filt in range(num_filters):
-            pred = self._mc_pred(rect, mv, ref_index, filt, _base=base)
+            pred = self._mc_pred(rect, mv, ref_index, filt, _filtered=filtered)
             err = float(
                 ((src_block - pred.astype(np.int32)) ** 2).sum()
             )
             inst.kernel("variance", rect.pixels)
             if filt > 0:
-                inst.branch(
-                    inst.site(f"{self.spec.family}.md.filt{filt}.improve"),
-                    err < best_err,
-                )
+                inst.branch(self.site_filt_improve[filt], err < best_err)
             if err < best_err:
                 best_err = err
                 best_filt = filt

@@ -14,6 +14,7 @@ smooth family and finer directions are AV1 additions).
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -184,6 +185,125 @@ def _directional(
     return left[idx]
 
 
+_SMOOTH_MODES = frozenset(
+    (IntraMode.SMOOTH, IntraMode.SMOOTH_V, IntraMode.SMOOTH_H)
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _gather_table(
+    modes: tuple[IntraMode, ...], height: int, width: int
+) -> np.ndarray:
+    """Per-mode sample indices into ``concat(above, left, [dc])``.
+
+    ``above`` and ``left`` both have length ``n = width + height`` (the
+    :func:`extend_neighbours` contract), so ``above[i]`` sits at ``i``,
+    ``left[i]`` at ``n + i`` and the DC value at ``2n``.  The indices
+    restate :func:`_directional`'s projections; slots of modes that are
+    not gathers hold 0 and are overwritten by :func:`predict_stack`.
+    """
+    n = width + height
+    rows = np.arange(height)[:, None]
+    cols = np.arange(width)[None, :]
+    table = np.zeros((len(modes), height, width), dtype=np.intp)
+    for k, mode in enumerate(modes):
+        if mode is IntraMode.DC:
+            table[k] = 2 * n
+        elif mode is IntraMode.V:
+            table[k] = cols
+        elif mode is IntraMode.H:
+            table[k] = n + rows
+        elif mode in _DIRECTIONS:
+            d_row, d_col = _DIRECTIONS[mode]
+            if d_row < 0 and d_col > 0:
+                steps = rows // -d_row if d_row != -1 else rows
+                table[k] = np.minimum(cols + (steps + 1) * d_col, n - 1)
+            elif d_row < 0 and d_col < 0:
+                offset = (rows + 1) * (-d_col)
+                above_idx = np.clip(cols - offset, 0, n - 1)
+                left_idx = np.clip(rows - (cols + 1) * (-d_row), 0, n - 1)
+                table[k] = np.where(cols >= offset, above_idx, n + left_idx)
+            else:
+                table[k] = n + np.minimum(rows + (cols + 1), n - 1)
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _smooth_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_weights` and its complement ``1 - w``, computed once."""
+    weights = _weights(n)
+    complement = 1 - weights
+    weights.setflags(write=False)
+    complement.setflags(write=False)
+    return weights, complement
+
+
+def predict_stack(
+    modes: tuple[IntraMode, ...],
+    above: np.ndarray,
+    left: np.ndarray,
+    height: int,
+    width: int,
+) -> np.ndarray:
+    """:func:`predict` of every mode in ``modes`` as an ``(m, h, w)`` stack.
+
+    DC, V, H and the six directional modes are pure gathers from
+    ``concat(above, left, [dc])`` through a cached index table, so all
+    of them come out of one indexing operation.  Paeth picks, per
+    sample, one of three neighbour values by the same distance
+    comparisons (ties going to the lower index, as ``argmin`` does),
+    and the smooth family shares one vertical and one horizontal blend
+    with cached weights.  Each sample goes through :func:`predict`'s
+    own float expressions (a gather copies without arithmetic), and
+    the rounding runs elementwise on the whole stack, so every plane
+    is bit-identical to the per-mode call.  ``above`` and ``left``
+    must have exactly the :func:`extend_neighbours` length ``height +
+    width``.
+    """
+    n = width + height
+    if len(above) != n or len(left) != n:
+        raise CodecError(
+            f"predict_stack needs neighbour arrays of length {n}, got "
+            f"above={len(above)}, left={len(left)}"
+        )
+    above = np.asarray(above, dtype=np.float64)
+    left = np.asarray(left, dtype=np.float64)
+    top = above[:width]
+    side = left[:height]
+    # ``ndarray.mean`` is the float64 sum divided by the count.
+    dc = (top.sum() / width + side.sum() / height) / 2.0
+    source = np.concatenate((above, left, (dc,)))
+    out = source[_gather_table(modes, height, width)]
+    if IntraMode.PAETH in modes:
+        top_left = above[0]
+        base = side[:, None] + top[None, :] - top_left
+        d_top = np.abs(top[None, :] - base)
+        d_side = np.abs(side[:, None] - base)
+        d_corner = np.abs(top_left - base)
+        out[modes.index(IntraMode.PAETH)] = np.where(
+            (d_top <= d_side) & (d_top <= d_corner),
+            top[None, :],
+            np.where(d_side <= d_corner, side[:, None], top_left),
+        )
+    if not _SMOOTH_MODES.isdisjoint(modes):
+        wv, cv = _smooth_weights(height)
+        wh, ch = _smooth_weights(width)
+        vert = wv[:, None] * top[None, :] + cv[:, None] * side[-1]
+        horz = wh[None, :] * side[:, None] + ch[None, :] * top[-1]
+        for k, mode in enumerate(modes):
+            if mode is IntraMode.SMOOTH:
+                out[k] = (vert + horz) / 2.0
+            elif mode is IntraMode.SMOOTH_V:
+                out[k] = vert
+            elif mode is IntraMode.SMOOTH_H:
+                out[k] = horz
+    np.rint(out, out=out)
+    np.maximum(out, 0, out=out)
+    np.minimum(out, 255, out=out)
+    return out.astype(np.uint8)
+
+
 def extend_neighbours(
     plane: np.ndarray,
     row: int,
@@ -197,18 +317,19 @@ def extend_neighbours(
     half-range default.  Arrays are extended by edge replication to the
     lengths directional modes need.
     """
-    need_above = width + height
-    need_left = height + width
+    need = width + height
     if row > 0:
-        avail = min(need_above, plane.shape[1] - col)
-        above = plane[row - 1, col : col + avail].astype(np.float64)
-        above = np.pad(above, (0, need_above - avail), mode="edge")
+        avail = min(need, plane.shape[1] - col)
+        above = np.empty(need)
+        above[:avail] = plane[row - 1, col : col + avail]
+        above[avail:] = above[avail - 1]
     else:
-        above = np.full(need_above, 128.0)
+        above = np.full(need, 128.0)
     if col > 0:
-        avail = min(need_left, plane.shape[0] - row)
-        left = plane[row : row + avail, col - 1].astype(np.float64)
-        left = np.pad(left, (0, need_left - avail), mode="edge")
+        avail = min(need, plane.shape[0] - row)
+        left = np.empty(need)
+        left[:avail] = plane[row : row + avail, col - 1]
+        left[avail:] = left[avail - 1]
     else:
-        left = np.full(need_left, 128.0)
+        left = np.full(need, 128.0)
     return above, left

@@ -86,12 +86,15 @@ class Quantizer:
         """Step size applied to each transform block's DC coefficient."""
         return self.step * self.dc_ratio
 
-    def quantize(self, coeffs: np.ndarray) -> np.ndarray:
+    def quantize(
+        self, coeffs: np.ndarray, dc: np.ndarray | None = None
+    ) -> np.ndarray:
         """Quantise transform coefficients to integer levels.
 
         Accepts a single ``(s, s)`` block or an ``(n, s, s)`` stack;
         position ``[..., 0, 0]`` is treated as DC (finer step, no
-        dead zone).
+        dead zone).  For any other layout of a contiguous array, ``dc``
+        gives the flat indices of the DC coefficients instead.
         """
         scaled = coeffs / self.step
         signs = np.sign(scaled)
@@ -101,13 +104,26 @@ class Quantizer:
         # no explicit dead-zone mask is needed.
         levels = np.floor(mags + (1.0 - self.deadzone))
         out = (signs * levels).astype(np.int32)
-        out[..., 0, 0] = np.rint(coeffs[..., 0, 0] / self.dc_step).astype(np.int32)
+        if dc is None:
+            out[..., 0, 0] = np.rint(coeffs[..., 0, 0] / self.dc_step).astype(
+                np.int32
+            )
+        else:
+            out.reshape(-1)[dc] = np.rint(
+                coeffs.reshape(-1)[dc] / self.dc_step
+            ).astype(np.int32)
         return out
 
-    def dequantize(self, levels: np.ndarray) -> np.ndarray:
-        """Reconstruct coefficient values from integer levels."""
-        out = levels.astype(np.float64) * self.step
-        out[..., 0, 0] = levels[..., 0, 0].astype(np.float64) * self.dc_step
+    def dequantize(
+        self, levels: np.ndarray, dc: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Reconstruct coefficient values from integer levels (``dc`` as
+        in :meth:`quantize`)."""
+        out = levels * self.step
+        if dc is None:
+            out[..., 0, 0] = levels[..., 0, 0] * self.dc_step
+        else:
+            out.reshape(-1)[dc] = levels.reshape(-1)[dc] * self.dc_step
         return out
 
 

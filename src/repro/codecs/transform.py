@@ -102,13 +102,13 @@ def _tx_bases_stack(
 def forward_tx_stack(tiles: np.ndarray, tx_types: tuple[str, ...]) -> np.ndarray:
     """All-types forward transform: ``(n, s, s)`` -> ``(T, n, s, s)``."""
     row, col_t, _, _ = _tx_bases_stack(tx_types, tiles.shape[-1])
-    return row @ tiles.astype(np.float64)[None] @ col_t
+    return row @ np.asarray(tiles, dtype=np.float64)[None] @ col_t
 
 
 def inverse_tx_stack(coeffs: np.ndarray, tx_types: tuple[str, ...]) -> np.ndarray:
     """All-types inverse transform of a ``(T, n, s, s)`` stack."""
     _, _, row_t, col = _tx_bases_stack(tx_types, coeffs.shape[-1])
-    return row_t @ coeffs.astype(np.float64) @ col
+    return row_t @ np.asarray(coeffs, dtype=np.float64) @ col
 
 
 def inverse_tx_batch(coeffs: np.ndarray, tx_type: str = "dct_dct") -> np.ndarray:
@@ -164,15 +164,24 @@ def tile_block(block: np.ndarray, size: int) -> np.ndarray:
 
 def untile_block(tiles: np.ndarray, height: int, width: int) -> np.ndarray:
     """Inverse of :func:`tile_block`."""
-    n, size, size2 = tiles.shape
-    if size != size2 or (height // size) * (width // size) != n:
-        raise CodecError(
-            f"cannot untile {tiles.shape} into {width}x{height}"
-        )
+    if tiles.ndim != 3 or tiles.shape[1] != tiles.shape[2]:
+        raise CodecError(f"cannot untile {tiles.shape} into {width}x{height}")
+    return untile_stack(tiles[None], height, width)[0]
+
+
+def untile_stack(tiles: np.ndarray, height: int, width: int) -> np.ndarray:
+    """:func:`untile_block` of every group of a ``(g, n, s, s)`` stack.
+
+    Returns ``(g, height, width)``; a pure reshuffle, so each plane
+    holds exactly the samples the per-group call returns.
+    """
+    g, n, size, _ = tiles.shape
+    if (height // size) * (width // size) != n:
+        raise CodecError(f"cannot untile {tiles.shape} into {width}x{height}")
     return (
-        tiles.reshape(height // size, width // size, size, size)
-        .transpose(0, 2, 1, 3)
-        .reshape(height, width)
+        tiles.reshape(g, height // size, width // size, size, size)
+        .transpose(0, 1, 3, 2, 4)
+        .reshape(g, height, width)
     )
 
 
@@ -235,10 +244,11 @@ def satd(residual: np.ndarray) -> float:
 def satd_batch(residuals: np.ndarray) -> list[float]:
     """:func:`satd` of every block in an ``(m, h, w)`` stack.
 
-    One broadcast Hadamard matmul pair covers all blocks; the
-    per-block reduction then runs on each (contiguous) slice with the
-    exact expression :func:`satd` uses, so every returned value is
-    bit-identical to the scalar call.
+    One broadcast Hadamard matmul pair covers all blocks; each block's
+    absolute sum then reduces over its own contiguous row of the
+    result.  A row reduction runs the same pairwise summation as the
+    whole-array sum of that block in :func:`satd`, so every returned
+    value is bit-identical to the scalar call.
     """
     m, h, w = residuals.shape
     size = min(8, h, w)
@@ -252,4 +262,4 @@ def satd_batch(residuals: np.ndarray) -> list[float]:
         0, 1, 3, 2, 4
     )
     transformed = mat @ tiles @ mat.T
-    return [float(np.abs(block).sum() / size) for block in transformed]
+    return (np.abs(transformed).reshape(m, -1).sum(axis=1) / size).tolist()

@@ -21,6 +21,7 @@ traffic volumes an encode generates:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,33 @@ class CacheConfig:
         return self.size_bytes // (self.ways * self.line_bytes)
 
 
+def _radix_keys(values: np.ndarray, low: int, high: int) -> np.ndarray:
+    """``values - low`` as a 16-bit sort key when ``high - low`` fits:
+    numpy's stable argsort is then a two-pass radix sort instead of a
+    merge sort (8-bit keys measured no faster).  Wider spans keep
+    ``values`` as is."""
+    if high - low < 2**16:
+        return (values - low if low else values).astype(np.uint16)
+    return values
+
+
+@functools.lru_cache(maxsize=None)
+def _gap_thresholds(window: int) -> np.ndarray:
+    """Per-``m`` thresholds for the classifier's exact window count.
+
+    Row ``m``, column ``c`` covers the access ``o = window - c`` places
+    back: it counts when its clipped gap exceeds ``m - o`` if ``o <=
+    m``, and never otherwise (the dtype's maximum, which no clipped
+    gap exceeds).
+    """
+    dtype = np.uint8 if window < 255 else np.uint16
+    m = np.arange(window + 1)[:, None]
+    o = window - np.arange(window)[None, :]
+    table = np.where(o <= m, m - o, np.iinfo(dtype).max).astype(dtype)
+    table.setflags(write=False)
+    return table
+
+
 class Cache:
     """One set-associative LRU cache level.
 
@@ -67,10 +95,41 @@ class Cache:
                 f"{config.name}: set count must be a power of two"
             )
         self._set_mask = config.num_sets - 1
-        # Per-set MRU-first list of tags.
-        self._sets: list[list[int]] = [[] for _ in range(config.num_sets)]
+        # Set contents in one of two forms, whichever path wrote last:
+        # per-set MRU-first tag lists (the scalar walk), or a
+        # (sets, ways) MRU-first tag array padded with -1 plus per-set
+        # fill counts (the batch classifier).  ``_sets`` converts.
+        self._lists: list[list[int]] | None = None
+        self._tags = np.full((config.num_sets, config.ways), -1, dtype=np.int64)
+        self._fill = np.zeros(config.num_sets, dtype=np.int64)
         self.accesses = 0
         self.misses = 0
+
+    @property
+    def _sets(self) -> list[list[int]]:
+        """Per-set MRU-first tag lists (the scalar walk's state)."""
+        if self._lists is None:
+            self._lists = [
+                row[:fill]
+                for row, fill in zip(self._tags.tolist(), self._fill.tolist())
+            ]
+            self._tags = self._fill = None
+        return self._lists
+
+    def _state_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The batch classifier's (tags, fill) state arrays."""
+        if self._tags is None:
+            tags = np.full(
+                (self.config.num_sets, self.config.ways), -1, dtype=np.int64
+            )
+            fill = np.zeros(self.config.num_sets, dtype=np.int64)
+            for index, ways in enumerate(self._lists):
+                if ways:
+                    tags[index, : len(ways)] = ways
+                    fill[index] = len(ways)
+            self._tags, self._fill = tags, fill
+            self._lists = None
+        return self._tags, self._fill
 
     def access(self, line: int) -> bool:
         """Access one line; returns True on hit.  Allocates on miss."""
@@ -147,18 +206,27 @@ class Cache:
         and state are pure functions of the access history and every
         access can be classified independently, in vector form:
 
-        1. partition the stream by set (stable radix argsort) and
-           prepend each set's current contents as a virtual prefix so
-           warm state participates in distances;
-        2. link each access to its previous same-tag occurrence (a tag
-           determines its set, so one stable sort by tag yields all
-           per-(set, tag) chains);
-        3. classify: gap ``<= ways`` is a guaranteed hit; a distinct
-           count ``>= ways`` over any subwindow of the reuse window is
-           a guaranteed miss (subwindow distinct counts come from two
-           prefix sums over checkpoint-aligned indicators); short
-           windows are counted exactly by a small shifted-comparison
-           loop; the rare leftovers get exact per-access counts.
+        1. partition the stream by set (one stable radix argsort on
+           16-bit set keys), with every nonempty set's current contents
+           ahead of the stream as a virtual prefix so warm state
+           participates in distances;
+        2. link each access to its previous same-tag occurrence: a tag
+           determines its set, so one stable radix argsort of the
+           set-ordered stream by the tag bits above the set index
+           yields every per-(set, tag) chain in order;
+        3. classify: gap ``<= ways`` is a guaranteed hit; a running
+           maximum of the links gives the longest run of pairwise
+           distinct accesses ending before each access, which decides
+           every reuse window that lies inside its run and proves a
+           miss for every one that contains a run of ``>= ways``, and
+           (by binary search) the run starting right after the previous
+           same-tag access, a second miss proof; the rest are counted
+           exactly over their nearest ``window`` accesses, one
+           contiguous row of clipped gaps each, and the rare leftovers
+           one by one.
+
+        So each window is sorted twice per level, by set and by tag,
+        both radix sorts.
 
         Hits, misses, stream-ordered miss traffic and final contents
         are bit-identical to the scalar walk (DESIGN.md "Kernel
@@ -169,112 +237,107 @@ class Cache:
         if not count:
             return lines
         capacity = self.config.ways
-        sets = self._sets
-        # Narrow to 32-bit when the tags fit: stable integer argsort is
-        # a radix sort, so half-width keys halve its passes, and every
-        # later elementwise op moves half the memory.
-        narrow = count < 2**31 and 0 <= int(lines.min()) and int(
-            lines.max()
-        ) < 2**31
-        work = lines.astype(np.int32) if narrow and lines.dtype != np.int32 \
-            else lines
-        posdtype = np.int32 if narrow else np.int64
-        idx = work & self._set_mask
-        # uint16 sort keys when the set count allows: two radix passes
-        # instead of four on the hottest sort in the classifier.
-        sort_keys = idx.astype(np.uint16) if self._set_mask < 2**16 else idx
-        order = np.argsort(sort_keys, kind="stable")
-        si = idx[order]
-        st = work[order]
-        # Run collapse: an access repeating the immediately preceding
-        # access to the same set is a guaranteed MRU hit with no state
-        # effect and no downstream traffic — droppable exactly (a tag
-        # determines its set, so equal adjacent tags are the same set).
-        keep = np.empty(count, dtype=bool)
-        keep[0] = True
-        keep[1:] = st[1:] != st[:-1]
-        if not keep.all():
-            si = si[keep]
-            st = st[keep]
-            order = order[keep]
-        n = int(st.size)
-        # Virtual warm-state prefix: each batch-present set's contents,
-        # LRU-first, inserted ahead of its segment so that recency and
-        # reuse distances continue across batches.
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        change[1:] = si[1:] != si[:-1]
-        seg_starts = np.flatnonzero(change)
-        seg_sets = si[seg_starts].tolist()
-        state_lists = [sets[s] for s in seg_sets]
-        state_lens = np.array([len(x) for x in state_lists], dtype=np.int64)
+        tags, fill = self._state_arrays()
+        mask = self._set_mask
+        # 32-bit tags when they and the carried contents fit
+        # (expand_touch_columns already emits them): half the memory
+        # per elementwise pass.
+        narrow = int(tags.max()) < 2**31 and (
+            lines.dtype == np.int32
+            or (0 <= int(lines.min()) and int(lines.max()) < 2**31)
+        )
+        work = lines.astype(np.int32 if narrow else np.int64, copy=False)
+        # Virtual warm-state prefix: the contents of every nonempty set,
+        # LRU-first, placed ahead of the batch so that the stable sort
+        # by set puts each set's contents right before its accesses —
+        # recency and reuse distances then continue across batches (a
+        # set the batch does not touch keeps exactly its contents).
+        # Reversed MRU-first rows are LRU-first once their padding is
+        # skipped, and the row-major selection keeps set order.
+        set_ids = work & mask
+        present = np.flatnonzero(fill)
+        state_lens = fill[present]
         total_virtual = int(state_lens.sum())
         if total_virtual:
-            insert_at = np.repeat(seg_starts, state_lens)
-            vtags = np.fromiter(
-                (t for x in state_lists for t in reversed(x)),
-                dtype=st.dtype,
-                count=total_virtual,
+            lru_first = tags[present, ::-1][
+                np.arange(capacity) >= (capacity - state_lens)[:, None]
+            ]
+            work = np.concatenate((lru_first.astype(work.dtype), work))
+            set_ids = np.concatenate(
+                (np.repeat(present, state_lens).astype(set_ids.dtype), set_ids)
             )
-            st2 = np.insert(st, insert_at, vtags)
-            si2 = np.insert(si, insert_at, np.repeat(seg_sets, state_lens))
-            orig = np.insert(order, insert_at, -1)
-        else:
-            st2, si2, orig = st, si, order
+        orig = np.argsort(_radix_keys(set_ids, 0, mask), kind="stable")
+        st2 = work[orig]
+        # Run collapse: an access repeating the immediately preceding
+        # element of its set is a guaranteed MRU hit with no state
+        # effect and no downstream traffic — droppable exactly (a tag
+        # determines its set, so equal adjacent tags are the same set;
+        # a set's contents are distinct, so only accesses drop).
+        keep = np.empty(st2.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(st2[1:], st2[:-1], out=keep[1:])
+        if not keep.all():
+            st2 = st2[keep]
+            orig = orig[keep]
         n2 = int(st2.size)
+        posdtype = np.int32 if n2 < 2**31 else np.int64
         pos = np.arange(n2, dtype=posdtype)
-        # Previous same-tag occurrence (the tag fixes the set, so one
-        # stable sort groups every per-(set, tag) chain in order).
-        to = np.argsort(st2, kind="stable").astype(posdtype, copy=False)
+        # Previous same-tag occurrence.  Sorting the set-ordered stream
+        # by the tag bits above the set index groups equal tags (equal
+        # high bits within one set) in stream order.
+        high = st2 >> mask.bit_length()
+        to = np.argsort(
+            _radix_keys(high, int(high.min()), int(high.max())), kind="stable"
+        )
+        to = to.astype(posdtype)
         t_sorted = st2[to]
         same = t_sorted[1:] == t_sorted[:-1]
-        link_src = to[:-1][same]
-        link_dst = to[1:][same]
-        q = np.full(n2, -1, dtype=posdtype)
-        q[link_dst] = link_src
+        q = np.empty(n2, dtype=posdtype)
+        q[to[0]] = -1
+        q[to[1:]] = np.where(same, to[:-1], -1)
         gap = pos - q
         seen = q >= 0
         hit = seen & (gap <= capacity)
-        unresolved = seen & ~hit
-        delta = 1 << max(4, (2 * capacity - 1).bit_length())
-        if unresolved.any():
-            # Checkpoint subwindows: for i in block k (width delta) the
-            # subwindow [tau, i) with tau = (k-1)*delta lies inside the
-            # reuse window whenever q_i < tau, and its distinct count is
-            # the number of j in it with q_j < tau — split at the block
-            # boundary into two prefix-summable indicators.
-            blockstart = pos & ~(delta - 1)
-            tau = blockstart - delta
-            prefix_a = np.empty(n2 + 1, dtype=posdtype)
-            prefix_a[0] = 0
-            np.cumsum(q < blockstart, out=prefix_a[1:])
-            prefix_b = np.empty(n2 + 1, dtype=posdtype)
-            prefix_b[0] = 0
-            np.cumsum(q < tau, out=prefix_b[1:])
-            tau0 = np.maximum(tau, 0)
-            distinct = (prefix_a[blockstart] - prefix_a[tau0]) + (
-                prefix_b[:-1] - prefix_b[blockstart]
-            )
-            proved_miss = (q < tau) & (distinct >= capacity)
-            unresolved &= ~proved_miss
-        u = np.flatnonzero(unresolved)
-        for window in (2 * delta, 16 * delta):
-            if not u.size:
-                break
+        # Longest distinct run: no access in [run_start_i, i) repeats a
+        # tag inside that range iff every q_j there precedes its start,
+        # so run_start_i = 1 + max(q_j : j < i) — one running maximum.
+        # A reuse window (q_i, i) inside the run holds gap - 1 distinct
+        # tags, which the gap test above already decides; a reuse
+        # window containing a run of >= ways accesses is a miss.
+        run_start = np.empty(n2, dtype=posdtype)
+        run_start[0] = 0
+        np.maximum.accumulate(q[:-1], out=run_start[1:])
+        run_start += 1
+        inside = q >= run_start
+        proved_miss = ~inside & (pos - run_start >= capacity)
+        u = np.flatnonzero(seen & ~hit & ~inside & ~proved_miss)
+        if u.size:
+            # The run that starts right after q_i: while run_start_p <=
+            # q_i + 1 every q_j with j < p precedes q_i + 1, so the
+            # accesses in (q_i, p) are pairwise distinct and none is i's
+            # tag.  run_start is nondecreasing, so the last such p is a
+            # binary search; a run of >= ways of them is a miss.
+            after = q[u] + 1
+            forward = np.searchsorted(run_start, after, side="right") - 1 - after
+            u = u[forward < capacity]
+        if u.size:
+            # Exact distinct counts over the nearest `window` accesses:
+            # j = i - o counts iff q_j precedes the counted range's start
+            # i - m, i.e. iff gap_j > m - o.  Gaps clipped to the dtype's
+            # maximum decide that the same way (m - o < window), so each
+            # access reads one contiguous row of the clipped gaps and
+            # compares it with a precomputed threshold row for its m.
+            window = 1 << max(5, (2 * capacity - 1).bit_length() + 1)
+            table = _gap_thresholds(window)
+            clip = np.iinfo(table.dtype).max
+            clipped = np.empty(n2 + window, dtype=table.dtype)
+            clipped[:window] = clip
+            np.minimum(gap, clip, out=clipped[window:], casting="unsafe")
+            rows = np.lib.stride_tricks.sliding_window_view(clipped, window)[u]
             max_exact = gap[u] - 1
             m = np.minimum(max_exact, window)
-            wstart = u - m
-            distinct = np.zeros(u.size, dtype=np.int64)
-            for o in range(1, window + 1):
-                j = u - o
-                np.add(
-                    distinct,
-                    (o <= m) & (q[np.maximum(j, 0)] < wstart),
-                    out=distinct,
-                    casting="unsafe",
-                )
-            exact = m == max_exact
-            newly_hit = exact & (distinct < capacity)
+            distinct = (rows > table[m]).sum(axis=1)
+            newly_hit = (m == max_exact) & (distinct < capacity)
             hit[u[newly_hit]] = True
             u = u[~(newly_hit | (distinct >= capacity))]
         for i in u.tolist():
@@ -284,31 +347,33 @@ class Cache:
         # Misses of real accesses, restored to stream order by scatter.
         miss_mask = ~hit
         if total_virtual:
-            miss_mask &= orig >= 0
+            miss_mask &= orig >= total_virtual
         miss_scatter = np.zeros(count, dtype=bool)
-        miss_scatter[orig[miss_mask]] = True
+        miss_scatter[orig[miss_mask] - total_virtual] = True
         miss_positions = np.flatnonzero(miss_scatter)
         self.misses += int(miss_positions.size)
         # Final contents: per set, the `capacity` most recently used
-        # distinct tags, MRU-first.
-        last_occurrence = np.ones(n2, dtype=bool)
-        last_occurrence[link_src] = False
+        # distinct tags, MRU-first — the last occurrences of each set's
+        # group, counted back from its most recent.
+        last_occurrence = np.empty(n2, dtype=bool)
+        last_occurrence[to[-1]] = True
+        last_occurrence[to[:-1]] = ~same
         lp = np.flatnonzero(last_occurrence)
-        lsets = si2[lp]
+        last_tags = st2[lp]
+        lsets = last_tags & mask
         group_change = np.empty(lp.size, dtype=bool)
         group_change[0] = True
-        group_change[1:] = lsets[1:] != lsets[:-1]
+        np.not_equal(lsets[1:], lsets[:-1], out=group_change[1:])
         group_starts = np.flatnonzero(group_change)
         group_ends = np.append(group_starts[1:], lp.size)
-        group_sets = lsets[group_starts].tolist()
-        last_tags = st2[lp].tolist()
-        for set_id, g_start, g_end in zip(
-            group_sets, group_starts.tolist(), group_ends.tolist()
-        ):
-            lo = g_end - capacity
-            if lo < g_start:
-                lo = g_start
-            sets[set_id] = last_tags[lo:g_end][::-1]
+        recency = (
+            group_ends[np.cumsum(group_change) - 1] - 1 - np.arange(lp.size)
+        )
+        kept = recency < capacity
+        touched = lsets[group_starts]
+        tags[touched] = -1
+        fill[touched] = np.minimum(group_ends - group_starts, capacity)
+        tags[lsets[kept], recency[kept]] = last_tags[kept]
         if not miss_positions.size:
             return lines[:0]
         return lines[miss_positions]
@@ -413,7 +478,9 @@ class CacheHierarchy:
         carries the warm per-set state between successive batches, so
         N windows are the same computation as one.
         """
-        stream = np.ascontiguousarray(lines, dtype=np.int64)
+        stream = np.ascontiguousarray(lines)
+        if stream.dtype != np.int32:
+            stream = stream.astype(np.int64, copy=False)
         window = kernels.stream_chunk_events()
         if window and stream.size > window:
             for start in range(0, int(stream.size), window):
@@ -461,59 +528,102 @@ def expand_touch_columns(
     by chunk yields exactly the concatenation of the chunks' line
     streams.  That property is what lets a streaming capture feed the
     hierarchy while the encode runs (see :class:`TouchStreamSink`).
+
+    The stream is ``int32`` whenever every line index fits (the
+    classifier's native width), else ``int64``.  Touches expand in
+    windows of about :data:`_EXPAND_ROWS` native rows, so every
+    per-row temporary stays cache-sized; by concatenation safety the
+    windows join into exactly the whole-stream result.
     """
-    touches = len(bases)
-    if touches == 0:
-        return np.empty(0, dtype=np.int64)
+    if len(bases) == 0:
+        return np.empty(0, dtype=np.int32)
     bases = np.asarray(bases, dtype=np.int64)
     rows = np.asarray(rows, dtype=np.int64)
     row_bytes = np.asarray(row_bytes, dtype=np.int64)
     pitches = np.asarray(pitches, dtype=np.int64)
     repeats = np.asarray(repeats, dtype=np.int64)
+    row_ends = np.cumsum(rows)
+    cuts = np.searchsorted(
+        row_ends, np.arange(_EXPAND_ROWS, int(row_ends[-1]), _EXPAND_ROWS),
+        side="right",
+    )
+    bounds = [0, *np.unique(cuts).tolist(), len(bases)]
+    parts = [
+        _expand_window(
+            bases[lo:hi], rows[lo:hi], row_bytes[lo:hi], pitches[lo:hi],
+            repeats[lo:hi], sample_period, line_bytes,
+        )
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+        if hi > lo
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    # Stage 1 — expand touches to rows.  ``arange - offsets[group]``
-    # is the standard grouped-arange trick: arange over the total,
-    # minus each group's start offset, gives 0..len-1 within every
-    # group.
+
+#: Native rows per :func:`expand_touch_columns` window.
+_EXPAND_ROWS = 1 << 15
+
+
+def _expand_window(
+    bases: np.ndarray,
+    rows: np.ndarray,
+    row_bytes: np.ndarray,
+    pitches: np.ndarray,
+    repeats: np.ndarray,
+    sample_period: int,
+    line_bytes: int,
+) -> np.ndarray:
+    """:func:`expand_touch_columns` of one window of whole touches."""
+    touches = len(bases)
+    # Stage 1 — expand touches to rows.  Row ``r`` of a touch starts
+    # at ``base + pitch * r``; with ``first`` the touch's first global
+    # row index that is ``(base - pitch * first) + pitch * g`` for the
+    # global row index ``g``, so two per-touch repeats and one arange
+    # give every row start.
     total_rows = int(rows.sum())
     if total_rows == 0:
-        return np.empty(0, dtype=np.int64)
-    row_touch = np.repeat(np.arange(touches, dtype=np.int64), rows)
-    row_offsets = np.concatenate(([0], np.cumsum(rows)[:-1]))
-    row_local = (
-        np.arange(total_rows, dtype=np.int64) - row_offsets[row_touch]
-    )
-    row_starts = bases[row_touch] + pitches[row_touch] * row_local
-    first_line = row_starts // line_bytes
-    last_line = (
-        row_starts + np.maximum(row_bytes[row_touch] - 1, 0)
-    ) // line_bytes
+        return np.empty(0, dtype=np.int32)
+    first_row = np.cumsum(rows) - rows
+    row_starts = np.repeat(bases - pitches * first_row, rows) + np.repeat(
+        pitches, rows
+    ) * np.arange(total_rows, dtype=np.int64)
 
     # Stage 2 — emit each row's *sampled* lines directly.  A row
     # covers lines ``[first_line, last_line]``; the survivors of
     # 1-in-``sample_period`` sampling are the multiples of the period
     # inside that range, an arithmetic sequence whose start and count
-    # close-form from the endpoints.  Materializing only those (rather
-    # than all lines followed by a mask) keeps every temporary at the
-    # sampled size.  The stream itself comes from one cumulative sum
-    # over per-element steps: ``sample_period`` inside a row, and a
-    # rebased jump at each row boundary — identical ordering to the
-    # scalar walk (rows in touch order, lines ascending within a row).
-    first_sampled = (first_line + sample_period - 1) // sample_period
-    sampled_in_row = np.maximum(last_line // sample_period - first_sampled + 1, 0)
-    first_sampled *= sample_period
+    # close-form from the endpoints, counted here in sampling units of
+    # ``sample_period`` lines (``ceil(floor(x / L) / P)`` is
+    # ``floor((x + (P - 1) * L) / (P * L))``).  Materializing only
+    # those (rather than all lines followed by a mask) keeps every
+    # temporary at the sampled size.  The stream itself comes from one
+    # cumulative sum over per-element steps: ``sample_period`` inside a
+    # row, and a rebased jump at each row boundary — identical ordering
+    # to the scalar walk (rows in touch order, lines ascending within a
+    # row).
+    unit = sample_period * line_bytes
+    first_unit = (row_starts + (sample_period - 1) * line_bytes) // unit
+    last_unit = (
+        row_starts + np.repeat(np.maximum(row_bytes - 1, 0), rows)
+    ) // unit
+    sampled_in_row = np.maximum(last_unit - first_unit + 1, 0)
+    first_sampled = first_unit * sample_period
     total_sampled = int(sampled_in_row.sum())
+    line_dtype = (
+        np.int32 if int(last_unit.max()) * sample_period < 2**31 else np.int64
+    )
     if total_sampled == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=line_dtype)
     keep = sampled_in_row > 0
     kept_first = first_sampled[keep]
     kept_count = sampled_in_row[keep]
     kept_starts = np.concatenate(([0], np.cumsum(kept_count)[:-1]))
-    steps = np.full(total_sampled, sample_period, dtype=np.int64)
+    steps = np.full(total_sampled, sample_period, dtype=line_dtype)
     kept_last = kept_first + sample_period * (kept_count - 1)
     steps[0] = kept_first[0]
     steps[kept_starts[1:]] = kept_first[1:] - kept_last[:-1]
-    blocks = np.cumsum(steps)
+    # Every partial sum is a line index of the stream, so the narrow
+    # accumulator cannot overflow.
+    blocks = np.cumsum(steps, dtype=line_dtype)
 
     # Stage 3 — apply ``repeats`` as whole-block tiling: each touch's
     # sampled block appears ``repeats`` times *consecutively* (the
@@ -523,13 +633,12 @@ def expand_touch_columns(
     # case returns the stream as built.
     if np.all(repeats == 1):
         return blocks
-    block_len = np.bincount(
-        row_touch[keep], weights=sampled_in_row[keep], minlength=touches
-    ).astype(np.int64)
+    sampled_before = np.concatenate(([0], np.cumsum(sampled_in_row)))
+    block_len = sampled_before[first_row + rows] - sampled_before[first_row]
     out_len = block_len * repeats
     total_out = int(out_len.sum())
     if total_out == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=line_dtype)
     out_touch = np.repeat(np.arange(touches, dtype=np.int64), out_len)
     out_offsets = np.concatenate(([0], np.cumsum(out_len)[:-1]))
     out_local = (

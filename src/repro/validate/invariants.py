@@ -13,7 +13,8 @@ inputs:
   scale coherently.
 - **cache-batch-scalar-parity** — the vectorized batch classifier and
   the scalar per-line walk produce bit-identical hit/miss statistics,
-  miss traffic, and final cache contents.
+  miss traffic, and final cache contents, whole-stream and with the
+  level cascade windowed below the stream length.
 - **replay-scalar-parity** — every predictor's columnar
   :meth:`~repro.uarch.branch.base.BranchPredictor.replay` kernel
   matches the scalar predict/update loop: same mispredict count and
@@ -215,24 +216,30 @@ def _cache_batch_scalar_parity(
     failures: list[str] = []
     lines = _random_lines(rng)
     batched = _small_hierarchy()
+    windowed = _small_hierarchy()
     scalar = _small_hierarchy()
     with kernels.vectorized_kernels():
         batched.access_lines(lines)
+        # A window shorter than the stream: the level cascade then runs
+        # window by window with warm state carried between windows.
+        with kernels.stream_chunk(int(rng.integers(8, lines.size))):
+            windowed.access_lines(lines)
     with kernels.scalar_kernels():
         for line in lines.tolist():
             scalar.access_line(line)
-    for name in ("l1d", "l2", "llc"):
-        a, b = getattr(batched, name), getattr(scalar, name)
-        if (a.accesses, a.misses) != (b.accesses, b.misses):
-            failures.append(
-                f"case {case}: {name} batch ({a.accesses}, {a.misses}) != "
-                f"scalar ({b.accesses}, {b.misses})"
-            )
-        if a._sets != b._sets:
-            failures.append(
-                f"case {case}: {name} final contents diverge between "
-                "batch and scalar paths"
-            )
+    for label, hierarchy in (("batch", batched), ("windowed", windowed)):
+        for name in ("l1d", "l2", "llc"):
+            a, b = getattr(hierarchy, name), getattr(scalar, name)
+            if (a.accesses, a.misses) != (b.accesses, b.misses):
+                failures.append(
+                    f"case {case}: {name} {label} ({a.accesses}, "
+                    f"{a.misses}) != scalar ({b.accesses}, {b.misses})"
+                )
+            if a._sets != b._sets:
+                failures.append(
+                    f"case {case}: {name} final contents diverge between "
+                    f"{label} and scalar paths"
+                )
     # One level, multiple batches: the classifier's stream-ordered miss
     # traffic and carried warm state must match the scalar walk.
     ways = int(rng.integers(1, 5))
@@ -629,8 +636,9 @@ INVARIANTS: dict[str, tuple[str, Callable[[np.random.Generator, int], list[str]]
         _cache_level_cascade,
     ),
     "cache-batch-scalar-parity": (
-        "Batch and scalar cache-simulation paths stay bit-identical: "
-        "counters, miss traffic, and final contents.",
+        "Batch (whole-stream and windowed) and scalar cache-simulation "
+        "paths stay bit-identical: counters, miss traffic, and final "
+        "contents.",
         _cache_batch_scalar_parity,
     ),
     "replay-scalar-parity": (

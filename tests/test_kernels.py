@@ -15,6 +15,20 @@ from repro import kernels
 from repro.cbp.harness import run_championship
 from repro.cbp.traces import capture_trace
 from repro.codecs import create_encoder
+from repro.codecs.entropy.arithmetic import BoolEncoder
+from repro.codecs.entropy.cdf import ContextSet
+from repro.codecs.entropy.coefcode import (
+    CoefficientCoder,
+    fast_rate_estimate_batch,
+    rate_estimate_groups,
+)
+from repro.codecs.predict import (
+    IntraMode,
+    extend_neighbours,
+    predict,
+    predict_stack,
+)
+from repro.errors import CodecError
 from repro.uarch.branch import (
     PAPER_PREDICTORS,
     BimodalPredictor,
@@ -140,9 +154,18 @@ class TestKernelSwitch:
 
 
 class TestEncoderBatchingEquivalence:
+    """The vectorized encoder path against the scalar reference, for all
+    five encoders: totals, and every stream the microarchitecture models
+    consume — branch events, memory touches, loop summaries and the
+    per-function profile — so a search-state cache that leaked between
+    superblocks or frames would show here."""
+
     @pytest.mark.parametrize("codec,crf,preset", [
         ("svt-av1", 30, 6),
         ("x264", 28, 8),
+        ("x265", 30, 4),
+        ("libvpx-vp9", 30, 4),
+        ("libaom", 30, 4),
     ])
     def test_encode_bit_identical(self, small_video, codec, crf, preset):
         with kernels.scalar_kernels():
@@ -156,11 +179,152 @@ class TestEncoderBatchingEquivalence:
         assert ref.total_bits == vec.total_bits
         assert ref.psnr_db == vec.psnr_db
         assert ref.total_instructions == vec.total_instructions
-        assert ref.instrumenter.counts.counts == vec.instrumenter.counts.counts
-        for ref_plane, vec_plane in zip(
+        ref_inst, vec_inst = ref.instrumenter, vec.instrumenter
+        assert ref_inst.counts.counts == vec_inst.counts.counts
+        assert ref_inst.branch_arrays() == vec_inst.branch_arrays()
+        assert ref_inst.touch_arrays() == vec_inst.touch_arrays()
+        assert ref_inst.loop_summaries == vec_inst.loop_summaries
+        assert ref_inst.functions == vec_inst.functions
+        assert [task.instructions for task in ref.tasks] == [
+            task.instructions for task in vec.tasks
+        ]
+        for ref_frame, vec_frame in zip(
             ref.reconstructed.frames, vec.reconstructed.frames
         ):
-            assert np.array_equal(ref_plane.y.data, vec_plane.y.data)
+            assert np.array_equal(ref_frame.y.data, vec_frame.y.data)
+            assert np.array_equal(ref_frame.u.data, vec_frame.u.data)
+            assert np.array_equal(ref_frame.v.data, vec_frame.v.data)
+
+
+class TestStackedKernels:
+    """Exact parity of the stacked RD-search kernels with the per-call
+    functions they replace."""
+
+    PLANE_SHAPE = (96, 128)
+
+    @pytest.mark.parametrize("height", [4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("width", [4, 8, 16, 32, 64])
+    def test_predict_stack_matches_predict(self, height, width):
+        rng = np.random.default_rng(height * 100 + width)
+        rows, cols = self.PLANE_SHAPE
+        modes = tuple(IntraMode)
+        # Frame corner and edges (128 fill), interior, and the right and
+        # bottom borders (edge replication), plus coarse planes whose
+        # repeated values exercise Paeth's tie-breaking.
+        positions = [
+            (0, 0), (0, cols // 2), (rows // 2, 0), (rows // 2, cols // 2),
+            (rows - height, cols - width), (rows - 4, cols - 4),
+        ]
+        for coarse in (False, True):
+            plane = rng.integers(0, 256, size=self.PLANE_SHAPE).astype(np.uint8)
+            if coarse:
+                plane = plane // 64 * 64
+            for row, col in positions:
+                above, left = extend_neighbours(plane, row, col, height, width)
+                smooth_above = above.copy()
+                smooth_above[1:-1] = (
+                    above[:-2] + 2 * above[1:-1] + above[2:]
+                ) / 4.0
+                for top in (above, smooth_above):
+                    stack = predict_stack(modes, top, left, height, width)
+                    for index, mode in enumerate(modes):
+                        expected = predict(mode, top, left, height, width)
+                        assert np.array_equal(stack[index], expected), (
+                            mode, height, width, row, col
+                        )
+
+    def test_predict_stack_any_mode_order(self):
+        rng = np.random.default_rng(3)
+        plane = rng.integers(0, 256, size=self.PLANE_SHAPE).astype(np.uint8)
+        above, left = extend_neighbours(plane, 16, 24, 16, 8)
+        for _ in range(20):
+            modes = tuple(rng.permutation(list(IntraMode))[: rng.integers(1, 14)])
+            stack = predict_stack(modes, above, left, 16, 8)
+            for index, mode in enumerate(modes):
+                assert np.array_equal(
+                    stack[index], predict(mode, above, left, 16, 8)
+                )
+
+    def test_predict_stack_rejects_wrong_lengths(self):
+        with pytest.raises(CodecError):
+            predict_stack((IntraMode.DC,), np.zeros(20), np.zeros(24), 8, 16)
+
+    def test_extend_neighbours_replicates_edges(self):
+        rng = np.random.default_rng(4)
+        plane = rng.integers(0, 256, size=(40, 48)).astype(np.uint8)
+        for row, col, height, width in ((8, 40, 8, 8), (32, 8, 8, 16), (36, 44, 4, 4)):
+            above, left = extend_neighbours(plane, row, col, height, width)
+            need = width + height
+            top = plane[row - 1, col : col + need].astype(np.float64)
+            side = plane[row : row + need, col - 1].astype(np.float64)
+            assert np.array_equal(
+                above, np.pad(top, (0, need - top.size), mode="edge")
+            )
+            assert np.array_equal(
+                left, np.pad(side, (0, need - side.size), mode="edge")
+            )
+
+    @pytest.mark.parametrize("kind", ["random", "zero", "large"])
+    @pytest.mark.parametrize("size", [4, 8, 16, 32])
+    def test_integer_rate_model_matches_float_model(self, kind, size):
+        rng = np.random.default_rng(size)
+        for _ in range(10):
+            shape = (int(rng.integers(1, 5)), int(rng.integers(1, 9)), size, size)
+            if kind == "zero":
+                levels = np.zeros(shape, dtype=np.int32)
+            elif kind == "random":
+                levels = rng.integers(-6, 7, size=shape) * (
+                    rng.random(shape) < 0.3
+                )
+            else:
+                levels = rng.integers(-(2**30), 2**30, size=shape) * (
+                    rng.random(shape) < 0.6
+                )
+            levels = levels.astype(np.int32)
+            expected = [fast_rate_estimate_batch(group) for group in levels]
+            flat = levels.reshape(1, shape[0], -1)
+            assert rate_estimate_groups(flat, (size,)) == expected
+
+    def test_integer_rate_model_mixed_tile_sizes(self):
+        # One row per tile size over the same 32x32 area, as the fused
+        # transform search lays them out.
+        rng = np.random.default_rng(9)
+        sizes, groups, pixels = (32, 16, 8, 4), 3, 32 * 32
+        levels = (
+            rng.integers(-9, 10, size=(len(sizes), groups, pixels))
+            * (rng.random((len(sizes), groups, pixels)) < 0.2)
+        ).astype(np.int32)
+        expected = [
+            fast_rate_estimate_batch(levels[row, group].reshape(-1, size, size))
+            for row, size in enumerate(sizes)
+            for group in range(groups)
+        ]
+        assert rate_estimate_groups(levels, sizes) == expected
+
+    def test_coefficient_coder_stream_matches_scalar(self):
+        # The fast coder batches its range-coder calls per block (with
+        # literal escapes in between): same bytes, costs and contexts.
+        rng = np.random.default_rng(6)
+        blocks = [
+            (rng.integers(-40, 41, size=(size, size))
+             * (rng.random((size, size)) < 0.3)).astype(np.int32)
+            for size in rng.choice([4, 8, 16], size=40)
+        ]
+        runs = []
+        for scope in (kernels.scalar_kernels, kernels.vectorized_kernels):
+            encoder, contexts = BoolEncoder(), ContextSet()
+            coder = CoefficientCoder(contexts, encoder)
+            with scope():
+                costs = [coder.code_block(block, "t") for block in blocks]
+            probs = {name: ctx.prob for name, ctx in contexts._contexts.items()}
+            runs.append((costs, encoder.finish(), probs))
+        assert runs[0] == runs[1]
+
+    def test_integer_rate_model_rejects_bad_shape(self):
+        with pytest.raises(CodecError):
+            rate_estimate_groups(np.zeros((2, 8, 8), dtype=np.int32), (8,))
+        with pytest.raises(CodecError):
+            rate_estimate_groups(np.zeros((1, 2, 40), dtype=np.int32), (8,))
 
 
 class TestStreamChunkEnv:
