@@ -4,13 +4,14 @@ The scalar predictor loop touches one table entry per event; replayed
 columnar, the same computation decomposes into classic data-parallel
 primitives:
 
-- **Saturating-counter scan** — a 2-bit (or any bounded) saturating
-  counter chain is a composition of clamp maps
-  ``f(x) = min(h, max(l, x + a))``.  These maps are closed under
-  composition, so a segmented Hillis–Steele scan over the events of
-  each table index yields every pre-update counter value (and thus
-  every prediction) in ``O(log n)`` vector passes — no per-event
-  Python at all.
+- **Saturating-counter scan** — a 2-bit saturating counter update is a
+  map ``{0..3} -> {0..3}``, packed into one uint8 (two bits per input
+  value).  Composing two maps is one lookup in a 256x256 table built at
+  import, so a segmented Hillis–Steele scan over the events of each
+  table index yields every pre-update counter value (and thus every
+  prediction) in uint8 passes — no per-event Python at all.  The scan
+  stops once its shift reaches the longest chain, and the grouping
+  sort runs as 16-bit radix passes (:func:`stable_order`).
 - **History streams** — gshare's global-history register before event
   ``i`` is a function of the previous ``h`` outcomes only, so the full
   index stream is ``h`` shifted adds.
@@ -23,8 +24,10 @@ primitives:
   a handful of vector passes per table (validated against the
   from-scratch ``reference_fold`` used by ``repro validate``).
 
-Everything here is exact integer math — the bit-parity contract with
-the scalar predictors is asserted by tests and invariants.
+The perceptron's lockstep kernel lives with the predictor
+(:mod:`.perceptron`).  Everything here is exact integer math — the
+bit-parity contract with the scalar predictors is asserted by tests
+and invariants.
 """
 
 from __future__ import annotations
@@ -32,69 +35,116 @@ from __future__ import annotations
 import numpy as np
 
 
+def _map_code(values: tuple[int, int, int, int]) -> int:
+    """Pack a map ``{0..3} -> {0..3}`` into one byte (2 bits per input)."""
+    return sum(value << (2 * x) for x, value in enumerate(values))
+
+
+#: The three per-event counter updates as packed maps, indexed by
+#: ``delta + 1``: decrement, no-op and increment, each saturating at
+#: 0 and 3.
+_DELTA_MAPS = np.array(
+    [_map_code((0, 0, 1, 2)), _map_code((0, 1, 2, 3)), _map_code((1, 2, 3, 3))],
+    dtype=np.uint8,
+)
+
+
+def _compose_table() -> np.ndarray:
+    """``table[(a << 8) | b]`` is the packed map "apply ``a``, then ``b``"."""
+    codes = np.arange(256, dtype=np.int64)
+    table = np.zeros((256, 256), dtype=np.int64)
+    for x in range(4):
+        after_a = (codes >> (2 * x)) & 3
+        after_b = (codes[None, :] >> (2 * after_a[:, None])) & 3
+        table |= after_b << (2 * x)
+    flat = table.astype(np.uint8).ravel()
+    flat.setflags(write=False)
+    return flat
+
+
+_COMPOSE = _compose_table()
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative integer keys.
+
+    Keys below 2**32 sort as one or two 16-bit passes (LSD), which
+    numpy's stable argsort runs as a radix sort; that is ~2.5x faster
+    than the merge sort it uses for wider integer dtypes.
+    """
+    top = int(keys.max()) if keys.size else 0
+    if top < 1 << 16:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    if top >= 1 << 32:
+        return np.argsort(keys, kind="stable")
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    high = (keys[order] >> 16).astype(np.uint16)
+    return order[np.argsort(high, kind="stable")]
+
+
 def saturating_counter_scan(
     indices: np.ndarray,
     deltas: np.ndarray,
     init: np.ndarray,
-    low: int,
-    high: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Replay saturating counter chains grouped by table index.
+    """Replay 2-bit saturating counter chains grouped by table index.
 
     Parameters
     ----------
     indices:
-        Per-event table index (int64, program order).
+        Per-event non-negative table index (program order).
     deltas:
-        Per-event counter delta before clamping (typically ±1; 0 is a
-        no-op update).
+        Per-event update in {-1, 0, +1}; the counter saturates at 0
+        and 3, and 0 leaves it unchanged.
     init:
-        Per-event initial counter value of that event's index (gather
-        of the table *before* the replay).
-    low, high:
-        Saturation bounds.
+        Per-event counter value (0..3) of that event's index before the
+        replay (a gather of the table).
 
     Returns ``(before, final_indices, final_values)``: the counter
-    value seen by each event *before* its own update (program order),
-    plus the post-stream value per distinct index for writing the
-    table back.
+    value (uint8) seen by each event *before* its own update, in
+    program order, plus the post-stream value per distinct index for
+    writing the table back.
     """
     n = int(indices.size)
     if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    order = np.argsort(indices, kind="stable")
+        return (
+            np.empty(0, dtype=np.uint8),
+            np.empty(0, dtype=indices.dtype),
+            np.empty(0, dtype=np.uint8),
+        )
+    order = stable_order(indices)
     group = indices[order]
-    # Per-element transform f(x) = min(h, max(l, x + a)).  Clamping a
-    # single step to [low, high] is exact because counter values never
-    # leave that range.
-    add = deltas[order].astype(np.int64)
-    lo = np.full(n, low, dtype=np.int64)
-    hi = np.full(n, high, dtype=np.int64)
-    # Segmented inclusive scan (Hillis–Steele): compose each transform
-    # with the one ``shift`` places earlier while both share an index.
-    # Sortedness makes the single equality test sufficient.
-    shift = 1
-    while shift < n:
-        same = group[shift:] == group[:-shift]
-        a1, l1, h1 = add[:-shift], lo[:-shift], hi[:-shift]
-        a2, l2, h2 = add[shift:], lo[shift:], hi[shift:]
-        composed_a = a1 + a2
-        composed_l = np.clip(l1 + a2, l2, h2)
-        composed_h = np.clip(h1 + a2, l2, h2)
-        add[shift:] = np.where(same, composed_a, a2)
-        lo[shift:] = np.where(same, composed_l, l2)
-        hi[shift:] = np.where(same, composed_h, h2)
-        shift <<= 1
-    init_sorted = init[order].astype(np.int64)
-    inclusive = np.minimum(hi, np.maximum(lo, init_sorted + add))
+    maps = _DELTA_MAPS[deltas[order] + 1]
     first = np.empty(n, dtype=bool)
     first[0] = True
-    first[1:] = group[1:] != group[:-1]
-    before_sorted = np.empty(n, dtype=np.int64)
+    np.not_equal(group[1:], group[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    lengths = np.diff(starts, append=n)
+    # Rank of each event within its index's chain.
+    rank = np.arange(n, dtype=np.int32) - np.repeat(
+        starts.astype(np.int32), lengths
+    )
+    # Segmented inclusive scan (Hillis–Steele) on packed maps: compose
+    # each map with the one ``shift`` places earlier while both belong
+    # to the same chain.  Once ``shift`` reaches the longest chain
+    # every prefix is complete.
+    longest = int(lengths.max())
+    pairs = np.empty(n, dtype=np.uint16)
+    composed = np.empty(n, dtype=np.uint8)
+    shift = 1
+    while shift < longest:
+        m = n - shift
+        np.left_shift(maps[:-shift], 8, out=pairs[:m], dtype=np.uint16)
+        pairs[:m] |= maps[shift:]
+        np.take(_COMPOSE, pairs[:m], out=composed[:m])
+        np.copyto(maps[shift:], composed[:m], where=rank[shift:] >= shift)
+        shift <<= 1
+    init_sorted = init[order].astype(np.uint8)
+    inclusive = (maps >> (init_sorted << 1)) & 3
+    before_sorted = np.empty(n, dtype=np.uint8)
     before_sorted[0] = init_sorted[0]
     before_sorted[1:] = np.where(first[1:], init_sorted[1:], inclusive[:-1])
-    before = np.empty(n, dtype=np.int64)
+    before = np.empty(n, dtype=np.uint8)
     before[order] = before_sorted
     last = np.empty(n, dtype=bool)
     last[-1] = True
@@ -110,13 +160,19 @@ def two_bit_counter_replay(
     Returns the per-event predicted directions (bool, program order)
     and scatters the post-stream counters back into ``table``.
     """
-    deltas = np.where(taken != 0, 1, -1).astype(np.int64)
-    init = table[indices].astype(np.int64)
     before, final_idx, final_val = saturating_counter_scan(
-        indices, deltas, init, 0, 3
+        indices, _taken_deltas(taken), table[indices]
     )
-    table[final_idx] = final_val.astype(table.dtype)
+    table[final_idx] = final_val
     return before >= 2
+
+
+def _taken_deltas(taken: np.ndarray) -> np.ndarray:
+    """+1 per taken event, -1 per not-taken one (int8)."""
+    deltas = (taken != 0).astype(np.int8)
+    deltas <<= 1
+    deltas -= 1
+    return deltas
 
 
 def stream_bounds(counts: np.ndarray) -> np.ndarray:
@@ -164,11 +220,7 @@ def batched_counter_scan(
     raw = np.concatenate(indices) if len(indices) > 1 else indices[0]
     cat_taken = np.concatenate(taken) if len(taken) > 1 else taken[0]
     before, _, _ = saturating_counter_scan(
-        raw + offsets,
-        np.where(cat_taken != 0, 1, -1).astype(np.int64),
-        table[raw].astype(np.int64),
-        0,
-        3,
+        raw + offsets, _taken_deltas(cat_taken), table[raw]
     )
     return before, cat_taken, stream_bounds(counts)
 
@@ -284,18 +336,22 @@ def fold_stream(taken: np.ndarray, length: int, width: int) -> np.ndarray:
     n = int(taken.size)
     if width <= 0 or length <= 0 or n == 0:
         return np.zeros(n + 1, dtype=np.int64)
-    bits = taken.astype(np.int64)
-    prefix = strided_prefix_xor(bits, width)
-    infinite = np.zeros(n + 1, dtype=np.int64)
+    # Folds narrower than 16 bits run in uint16: a quarter of the
+    # memory traffic of int64, and shifts past bit 15 only drop bits
+    # the width mask would clear anyway.
+    dtype = np.uint16 if width <= 16 else np.int64
+    prefix = strided_prefix_xor((taken != 0).astype(dtype), width)
+    infinite = np.zeros(n + 1, dtype=dtype)
+    shifted = np.empty(n, dtype=dtype)
     for p in range(min(width, n)):
-        infinite[p + 1 :] |= prefix[: n - p] << p
-    out = infinite
+        np.left_shift(prefix[: n - p], p, out=shifted[: n - p])
+        infinite[p + 1 :] |= shifted[: n - p]
+    out = infinite.astype(np.int64)
     if n > length:
         tail = infinite[: n + 1 - length]
         shift = length % width
         if shift:
             mask = (1 << width) - 1
             tail = ((tail << shift) | (tail >> (width - shift))) & mask
-        out = infinite.copy()
         out[length:] ^= tail
     return out

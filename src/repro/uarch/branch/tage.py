@@ -23,7 +23,7 @@ import numpy as np
 
 from ...errors import SimulationError
 from .base import BranchPredictor
-from .replay import fold_stream
+from .replay import fold_stream, stable_order
 
 
 class _FoldedHistory:
@@ -100,6 +100,8 @@ class TagePredictor(BranchPredictor):
         # update() (the CBP contract guarantees the pairing).
         self._hit = -1
         self._alt = -1
+        self._pred = False
+        self._alt_pred = False
         self._indices: list[int] = [0] * len(tables)
         self._tags: list[int] = [0] * len(tables)
 
@@ -213,23 +215,16 @@ class TagePredictor(BranchPredictor):
 
     def _stream_columns(
         self, pcs: np.ndarray, taken: np.ndarray
-    ) -> tuple[
-        list[list[int]],
-        list[list[int]],
-        list[tuple[int, int, int]],
-        list[int],
-        list[bool],
-        np.ndarray,
-    ]:
-        """Precompute one stream's fold/index/tag columns from current state.
+    ) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int, int]], np.ndarray]:
+        """Precompute one stream's index/tag columns from current state.
 
         The folded-history registers (and hence every table index and
         tag) depend only on the outcome stream, never on table state,
         so whole columns are computed up front with the closed-form
-        :func:`fold_stream`.  Returns ``(index_cols, tag_cols,
-        final_folds, base_idx, outcomes, full)`` where ``full`` is the
-        retained-history-plus-stream outcome column the history window
-        write-back slices from.
+        :func:`fold_stream`.  Returns ``(indices, tags, final_folds,
+        full)``: ``(tables, n)`` index and tag matrices, the folds after
+        the stream, and the retained-history-plus-stream outcome column
+        the history window write-back slices from.
         """
         n = int(pcs.size)
         m = len(self._history)
@@ -240,8 +235,8 @@ class TagePredictor(BranchPredictor):
             ]
         )
         pcw = (pcs >> 2).astype(np.int64)
-        index_cols: list[list[int]] = []
-        tag_cols: list[list[int]] = []
+        indices = np.empty((len(self._tables), n), dtype=np.int64)
+        tags = np.empty((len(self._tables), n), dtype=np.int64)
         final_folds: list[tuple[int, int, int]] = []
         for i, table in enumerate(self._tables):
             length = table.history_length
@@ -251,23 +246,54 @@ class TagePredictor(BranchPredictor):
             fold_t1 = fold_stream(full, length, table.tag_bits - 1)
             mask = (1 << bits) - 1
             tag_mask = (1 << table.tag_bits) - 1
-            idx = (pcw ^ (pcw >> bits) ^ fold_idx[m : m + n]) & mask
-            tag = (pcw ^ fold_t0[m : m + n] ^ (fold_t1[m : m + n] << 1)) & tag_mask
-            index_cols.append(idx.tolist())
-            tag_cols.append(tag.tolist())
+            np.bitwise_and(
+                pcw ^ (pcw >> bits) ^ fold_idx[m : m + n], mask,
+                out=indices[i],
+            )
+            np.bitwise_and(
+                pcw ^ fold_t0[m : m + n] ^ (fold_t1[m : m + n] << 1),
+                tag_mask,
+                out=tags[i],
+            )
             final_folds.append(
                 (int(fold_idx[m + n]), int(fold_t0[m + n]), int(fold_t1[m + n]))
             )
-        base_idx = (pcw & self._base_mask).tolist()
-        outcomes = (taken != 0).tolist()
-        return index_cols, tag_cols, final_folds, base_idx, outcomes, full
+        return indices, tags, final_folds, full
+
+    def _scan_tops(self, indices: np.ndarray, tags: np.ndarray) -> np.ndarray:
+        """Per event, the highest table whose tag could match.
+
+        Table ``i`` can match at event ``k`` only if its entry already
+        holds ``tags[i, k]`` when the stream starts, or an earlier event
+        of the stream had the same (index, tag) pair: only an allocation
+        writes a tag, and it writes its own event's pair.  The walk's
+        tag scan starts here instead of at the last table; every table
+        it skips is a certain miss.  Only the upper half of the tables
+        is checked: the short-history lower half repeats its pairs on
+        most events, so a sort there would prove few misses.
+        """
+        n = indices.shape[1]
+        lower = len(self._tables) // 2
+        tops = np.full(n, lower - 1, dtype=np.int64)
+        for i in range(lower, len(self._tables)):
+            table = self._tables[i]
+            keys = (indices[i] << table.tag_bits) | tags[i]
+            order = stable_order(keys)
+            repeat = np.empty(n, dtype=bool)
+            repeat[0] = False
+            np.equal(keys[order[1:]], keys[order[:-1]], out=repeat[1:])
+            could = np.empty(n, dtype=bool)
+            could[order] = repeat
+            could |= self._tag[i][indices[i]] == tags[i]
+            tops[could] = i
+        return tops
 
     def _replay_loop(
         self,
-        index_cols: list[list[int]],
-        tag_cols: list[list[int]],
-        base_idx: list[int],
-        outcomes: list[bool],
+        indices: np.ndarray,
+        tags: np.ndarray,
+        pcs: np.ndarray,
+        taken: np.ndarray,
         base: list[int],
         ctr: list[list[int]],
         tag_tables: list[list[int]],
@@ -278,28 +304,31 @@ class TagePredictor(BranchPredictor):
 
         Tag-match scan, counter updates, allocation — inherently
         sequential through the tables, so it runs as a tight loop over
+        per-event rows zipped from the precomputed columns and over
         plain Python lists (no per-event NumPy indexing, fold pushing,
         or attribute chasing).  Mutates the supplied list-form tables
         in place; the caller decides whether they are the real tables
         (:meth:`replay` writes them back) or per-stream virtual copies
         (:meth:`replay_batch` discards them).  Returns ``(mispredicts,
-        use_alt, hit, alt, pred, alt_pred)``.
+        use_alt, hit, alt, pred, alt_pred)`` after the last event.
         """
-        n = len(outcomes)
         num_tables = len(self._tables)
-        mispredicts = 0
         last_table = num_tables - 1
-        pred = self._pred if hasattr(self, "_pred") else False
-        alt_pred = pred
-        hit = -1
-        alt = -1
-        for k in range(n):
-            taken_k = outcomes[k]
-            hit = -1
-            alt = -1
-            i = last_table
+        mispredicts = 0
+        hit = alt = -1
+        pred = alt_pred = False
+        rows = zip(
+            (taken != 0).tolist(),
+            ((pcs >> 2) & self._base_mask).tolist(),
+            self._scan_tops(indices, tags).tolist(),
+            zip(*indices.tolist()),
+            zip(*tags.tolist()),
+        )
+        for taken_k, b_index, top, idx, tag in rows:
+            hit = alt = -1
+            i = top
             while i >= 0:
-                if tag_tables[i][index_cols[i][k]] == tag_cols[i][k]:
+                if tag_tables[i][idx[i]] == tag[i]:
                     if hit < 0:
                         hit = i
                     else:
@@ -307,63 +336,63 @@ class TagePredictor(BranchPredictor):
                         break
                 i -= 1
             if hit < 0:
-                pred = base[base_idx[k]] >= 2
-                alt_pred = pred
-            else:
-                hit_index = index_cols[hit][k]
-                counter = ctr[hit][hit_index]
-                if alt >= 0:
-                    alt_pred = ctr[alt][index_cols[alt][k]] >= 0
-                else:
-                    alt_pred = base[base_idx[k]] >= 2
-                if use_alt >= 8 and (counter == -1 or counter == 0):
-                    pred = alt_pred
-                else:
-                    pred = counter >= 0
-            if pred != taken_k:
-                mispredicts += 1
-            if hit >= 0:
-                hit_index = index_cols[hit][k]
-                counter = ctr[hit][hit_index]
-                if (counter == -1 or counter == 0) and pred != alt_pred:
-                    correct_main = (counter >= 0) == taken_k
-                    if correct_main and use_alt > 0:
-                        use_alt -= 1
-                    elif not correct_main and use_alt < 15:
-                        use_alt += 1
-                if taken_k:
-                    if counter < 3:
-                        ctr[hit][hit_index] = counter + 1
-                elif counter > -4:
-                    ctr[hit][hit_index] = counter - 1
-                if pred != alt_pred:
-                    u = useful[hit][hit_index]
-                    if pred == taken_k and u < 3:
-                        useful[hit][hit_index] = u + 1
-                    elif pred != taken_k and u > 0:
-                        useful[hit][hit_index] = u - 1
-            else:
-                b_index = base_idx[k]
                 counter = base[b_index]
+                pred = alt_pred = counter >= 2
                 if taken_k:
                     if counter < 3:
                         base[b_index] = counter + 1
                 elif counter > 0:
                     base[b_index] = counter - 1
-            if pred != taken_k and hit < last_table:
-                allocated = False
-                for i in range(hit + 1, num_tables):
-                    a_index = index_cols[i][k]
-                    if useful[i][a_index] == 0:
-                        tag_tables[i][a_index] = tag_cols[i][k]
-                        ctr[i][a_index] = 0 if taken_k else -1
-                        allocated = True
-                        break
-                if not allocated:
+            else:
+                hit_ctr = ctr[hit]
+                hit_index = idx[hit]
+                counter = hit_ctr[hit_index]
+                if alt >= 0:
+                    alt_pred = ctr[alt][idx[alt]] >= 0
+                else:
+                    alt_pred = base[b_index] >= 2
+                # Newly allocated (weak) entries may defer to the alternate.
+                weak = counter == -1 or counter == 0
+                if weak and use_alt >= 8:
+                    pred = alt_pred
+                else:
+                    pred = counter >= 0
+                if pred != alt_pred:
+                    if weak:
+                        if (counter >= 0) == taken_k:
+                            if use_alt > 0:
+                                use_alt -= 1
+                        elif use_alt < 15:
+                            use_alt += 1
+                    hit_useful = useful[hit]
+                    u = hit_useful[hit_index]
+                    if pred == taken_k:
+                        if u < 3:
+                            hit_useful[hit_index] = u + 1
+                    elif u > 0:
+                        hit_useful[hit_index] = u - 1
+                if taken_k:
+                    if counter < 3:
+                        hit_ctr[hit_index] = counter + 1
+                elif counter > -4:
+                    hit_ctr[hit_index] = counter - 1
+            if pred != taken_k:
+                mispredicts += 1
+                # Allocate in a longer-history table, else decay
+                # usefulness along the allocation path.
+                if hit < last_table:
                     for i in range(hit + 1, num_tables):
-                        a_index = index_cols[i][k]
-                        if useful[i][a_index] > 0:
-                            useful[i][a_index] -= 1
+                        a_index = idx[i]
+                        if useful[i][a_index] == 0:
+                            tag_tables[i][a_index] = tag[i]
+                            ctr[i][a_index] = 0 if taken_k else -1
+                            break
+                    else:
+                        for i in range(hit + 1, num_tables):
+                            a_index = idx[i]
+                            u = useful[i][a_index]
+                            if u > 0:
+                                useful[i][a_index] = u - 1
         return mispredicts, use_alt, hit, alt, pred, alt_pred
 
     def replay(self, pcs: np.ndarray, taken: np.ndarray) -> int:
@@ -378,23 +407,20 @@ class TagePredictor(BranchPredictor):
         n = int(pcs.size)
         if n == 0:
             return 0
-        num_tables = len(self._tables)
-        index_cols, tag_cols, final_folds, base_idx, outcomes, full = (
-            self._stream_columns(pcs, taken)
-        )
+        indices, tags, final_folds, full = self._stream_columns(pcs, taken)
         base = self._base.tolist()
         ctr = [t.tolist() for t in self._ctr]
         tag_tables = [t.tolist() for t in self._tag]
         useful = [t.tolist() for t in self._useful]
         mispredicts, use_alt, hit, alt, pred, alt_pred = self._replay_loop(
-            index_cols, tag_cols, base_idx, outcomes,
+            indices, tags, pcs, taken,
             base, ctr, tag_tables, useful, self._use_alt,
         )
         # State write-back: tables, folds, history window and the
         # per-prediction scratch the scalar pair would have left behind.
         self._use_alt = use_alt
         self._base[:] = base
-        for i in range(num_tables):
+        for i in range(len(self._tables)):
             self._ctr[i][:] = ctr[i]
             self._tag[i][:] = tag_tables[i]
             self._useful[i][:] = useful[i]
@@ -402,8 +428,8 @@ class TagePredictor(BranchPredictor):
             self._fold_index[i].value = fi_v
             self._fold_tag0[i].value = f0_v
             self._fold_tag1[i].value = f1_v
-            self._indices[i] = index_cols[i][n - 1]
-            self._tags[i] = tag_cols[i][n - 1]
+        self._indices = indices[:, n - 1].tolist()
+        self._tags = tags[:, n - 1].tolist()
         keep = self._max_history + 1
         self._history = full[max(0, int(full.size) - keep) :].tolist()
         self._hit = hit
@@ -432,11 +458,9 @@ class TagePredictor(BranchPredictor):
             if pcs.size == 0:
                 counts.append(0)
                 continue
-            index_cols, tag_cols, _, base_idx, outcomes, _ = (
-                self._stream_columns(pcs, taken)
-            )
+            indices, tags, _, _ = self._stream_columns(pcs, taken)
             mispredicts, _, _, _, _, _ = self._replay_loop(
-                index_cols, tag_cols, base_idx, outcomes,
+                indices, tags, pcs, taken,
                 self._base.tolist(),
                 [t.tolist() for t in self._ctr],
                 [t.tolist() for t in self._tag],

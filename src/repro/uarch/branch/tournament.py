@@ -22,6 +22,16 @@ from .replay import (
 )
 
 
+def _chooser_deltas(
+    bimodal: np.ndarray, gshare: np.ndarray, outcomes: np.ndarray
+) -> np.ndarray:
+    """Chooser update per event: +1 when gshare alone is right, -1 when
+    bimodal alone is, 0 when the components agree."""
+    return np.where(
+        bimodal == gshare, 0, np.where(gshare == outcomes, 1, -1)
+    ).astype(np.int8)
+
+
 class TournamentPredictor(BranchPredictor):
     """Bimodal + Gshare with a chooser."""
 
@@ -73,16 +83,12 @@ class TournamentPredictor(BranchPredictor):
         bimodal = self._bimodal.replay_predictions(pcs, taken)
         gshare = self._gshare.replay_predictions(pcs, taken)
         indices = (pcs >> 2) & self._chooser_mask
-        deltas = np.where(
-            bimodal == gshare,
-            0,
-            np.where(gshare == outcomes, 1, -1),
-        ).astype(np.int64)
-        init = self._chooser[indices].astype(np.int64)
         before, final_idx, final_val = saturating_counter_scan(
-            indices, deltas, init, 0, 3
+            indices,
+            _chooser_deltas(bimodal, gshare, outcomes),
+            self._chooser[indices],
         )
-        self._chooser[final_idx] = final_val.astype(self._chooser.dtype)
+        self._chooser[final_idx] = final_val
         predictions = np.where(before >= 2, gshare, bimodal)
         self._last = None
         return int(np.count_nonzero(predictions != outcomes))
@@ -115,13 +121,10 @@ class TournamentPredictor(BranchPredictor):
         bimodal = np.concatenate(bimodal_cols)
         gshare = np.concatenate(gshare_cols)
         outcomes = np.concatenate([taken for _, taken in streams]) != 0
-        deltas = np.where(
-            bimodal == gshare,
-            0,
-            np.where(gshare == outcomes, 1, -1),
-        ).astype(np.int64)
         before, _, _ = saturating_counter_scan(
-            raw + offsets, deltas, self._chooser[raw].astype(np.int64), 0, 3
+            raw + offsets,
+            _chooser_deltas(bimodal, gshare, outcomes),
+            self._chooser[raw],
         )
         predictions = np.where(before >= 2, gshare, bimodal)
         return segment_counts(predictions != outcomes, stream_bounds(counts))

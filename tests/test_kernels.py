@@ -40,6 +40,7 @@ from repro.uarch.branch import (
     tage_8kb,
     tage_64kb,
 )
+from repro.uarch.branch.replay import saturating_counter_scan, stable_order
 from repro.video.synthetic import ContentSpec, generate
 
 #: Every predictor with a vectorized replay kernel, including both
@@ -123,6 +124,144 @@ class TestReplayParity:
         taken = np.empty(0, dtype=np.uint8)
         for factory in ALL_PREDICTORS.values():
             assert int(factory().replay(pcs, taken)) == 0
+
+
+def fixed_direction_stream(seed: int, sites: int, count: int):
+    """``sites`` PCs in distinct perceptron rows, each always taken or
+    always not taken (alternating by site), randomly interleaved.
+
+    With a 64-bit history (theta 137) a fixed-direction row keeps
+    training after its bias reaches the int8 bound, so weights pin at
+    +127 and -128 and the clamp decides the replay.
+    """
+    rng = np.random.default_rng(seed)
+    which = rng.integers(0, sites, size=count)
+    pcs = (0x4000 + 4 * which).astype(np.int64)
+    return pcs, (which % 2 == 0).astype(np.uint8)
+
+
+def saturating_perceptron():
+    return PerceptronPredictor(history_bits=64)
+
+
+class TestPerceptronSaturation:
+    @pytest.mark.parametrize("sites", [2, 8])
+    def test_clamped_weights_match_scalar(self, sites):
+        # 2 sites finish in the per-row walk; 8 keep the lockstep
+        # steps running through the saturation.
+        pcs, taken = fixed_direction_stream(5, sites, 650 * sites)
+        ref = saturating_perceptron()
+        expected = scalar_mispredicts(ref, pcs, taken)
+        weights = ref._weights
+        assert weights.max() == 127 and weights.min() == -128
+        fast = saturating_perceptron()
+        assert int(fast.replay(pcs, taken)) == expected
+        assert np.array_equal(fast._weights, weights)
+        batched = saturating_perceptron()
+        assert batched.replay_batch([(pcs, taken), (pcs, taken)]) == [
+            expected, expected,
+        ]
+        assert not batched._weights.any()
+        probe_pcs, probe_taken = fixed_direction_stream(6, sites, 400)
+        for pc, t in zip(probe_pcs.tolist(), probe_taken.tolist()):
+            outcome = t != 0
+            assert fast.predict_update(pc, outcome) == ref.predict_update(
+                pc, outcome
+            )
+
+    @pytest.mark.parametrize(
+        "factory", [PerceptronPredictor, saturating_perceptron]
+    )
+    def test_mixed_length_batch(self, factory):
+        """Empty, 1-event, shorter-than-history and long streams in one
+        batch, from a warmed predictor."""
+        long_pcs, long_taken = branch_columns(21, count=2500)
+        short_pcs, short_taken = branch_columns(22, count=17)
+        streams = [
+            (long_pcs[:0], long_taken[:0]),
+            (short_pcs[:1], short_taken[:1]),
+            (short_pcs, short_taken),
+            (long_pcs, long_taken),
+        ]
+        warm_pcs, warm_taken = fixed_direction_stream(23, 8, 600)
+        batched = factory()
+        scalar_mispredicts(batched, warm_pcs, warm_taken)
+        expected = []
+        for pcs, taken in streams:
+            ref = factory()
+            scalar_mispredicts(ref, warm_pcs, warm_taken)
+            expected.append(scalar_mispredicts(ref, pcs, taken))
+            fast = factory()
+            scalar_mispredicts(fast, warm_pcs, warm_taken)
+            assert int(fast.replay(pcs, taken)) == expected[-1]
+            for pc, t in zip(long_pcs[:300].tolist(), long_taken[:300].tolist()):
+                assert fast.predict_update(pc, t != 0) == ref.predict_update(
+                    pc, t != 0
+                )
+        assert batched.replay_batch(streams) == expected
+
+
+def clamp_walk(indices, deltas, init):
+    """Per-index 2-bit counter walk: the oracle for the counter scan."""
+    table: dict[int, int] = {}
+    before = []
+    for index, delta, start in zip(
+        indices.tolist(), deltas.tolist(), init.tolist()
+    ):
+        value = table.get(index, start)
+        before.append(value)
+        table[index] = min(3, max(0, value + delta))
+    return before, table
+
+
+class TestCounterScan:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_clamp_walk(self, seed):
+        rng = np.random.default_rng(seed)
+        # One index with 5000 events (chains cross every power-of-two
+        # shift up to 4096), a few busy indices, and 300 indices that
+        # occur once each (single-event chains).
+        indices = np.concatenate([
+            np.full(5000, 7),
+            rng.integers(100, 110, size=2000),
+            np.arange(1000, 1300),
+        ]).astype(np.int64)
+        rng.shuffle(indices)
+        deltas = rng.integers(-1, 2, size=indices.size).astype(np.int8)
+        # The long chain moves only on its first events: a scan that
+        # stopped short would lose them for every later event (random
+        # deltas would saturate and hide that).
+        chain = np.flatnonzero(indices == 7)
+        deltas[chain[:3]] = 1
+        deltas[chain[3:]] = 0
+        table = rng.integers(0, 4, size=1300).astype(np.int8)
+        init = table[indices]
+        before, final_idx, final_val = saturating_counter_scan(
+            indices, deltas, init
+        )
+        want_before, want_final = clamp_walk(indices, deltas, init)
+        assert before.tolist() == want_before
+        assert dict(zip(final_idx.tolist(), final_val.tolist())) == want_final
+
+    def test_empty_and_single_event(self):
+        empty = np.empty(0, dtype=np.int64)
+        before, final_idx, final_val = saturating_counter_scan(
+            empty, empty.astype(np.int8), empty
+        )
+        assert before.size == final_idx.size == final_val.size == 0
+        before, final_idx, final_val = saturating_counter_scan(
+            np.array([5]), np.array([1], dtype=np.int8), np.array([3])
+        )
+        assert before.tolist() == [3]
+        assert (final_idx.tolist(), final_val.tolist()) == ([5], [3])
+
+    def test_stable_order_matches_argsort(self):
+        rng = np.random.default_rng(4)
+        for high in (200, 1 << 16, 1 << 20, 1 << 33):
+            keys = rng.integers(0, high, size=5000)
+            assert np.array_equal(
+                stable_order(keys), np.argsort(keys, kind="stable")
+            )
 
 
 class TestKernelSwitch:

@@ -93,6 +93,15 @@ class TestAllPredictors:
     def test_storage_budget_positive(self, name):
         assert ALL_PREDICTORS[name]().storage_bits > 0
 
+    @pytest.mark.parametrize("name", list(ALL_PREDICTORS))
+    def test_update_before_predict(self, name):
+        """Training a fresh predictor before any prediction is legal;
+        TAGE used to raise AttributeError on its missing scratch."""
+        predictor = ALL_PREDICTORS[name]()
+        predictor.update(0x400, True)
+        predictor.update(0x404, False)
+        assert isinstance(predictor.predict(0x400), bool)
+
 
 class TestStorageBudgets:
     def test_paper_sizes(self):
