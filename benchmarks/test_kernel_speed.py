@@ -52,15 +52,16 @@ from repro.video import vbench
 BENCH_PATH = os.path.join(os.path.dirname(__file__), "..",
                           "BENCH_kernels.json")
 
-#: Regression floors (acceptance criteria of the kernel-layer PR).
-REPLAY_SPEEDUP_FLOOR = 3.0
-#: With the stacked RD-search kernels and the radix-sorted cache
-#: classifier, three runs on a 2-core host measured 2.9-4.1x against
-#: the scalar reference; the floor sits a quarter under the lowest to
-#: absorb load noise, and it only ever goes up.
-CELL_SPEEDUP_FLOOR = 2.2
-#: Batched multi-trace replay vs the per-trace loop (same kernels).
-REPLAY_BATCH_SPEEDUP_FLOOR = 1.5
+#: Regression floors.  Each sits a quarter under the lowest of four
+#: runs on a 2-core host, to absorb load noise, and only ever goes up.
+#: Championship replay: 7.47-8.37x.
+REPLAY_SPEEDUP_FLOOR = 5.6
+#: Cold cell with the per-superblock stacked RD search: 4.27-5.43x
+#: against the scalar reference.
+CELL_SPEEDUP_FLOOR = 3.2
+#: Batched multi-trace replay vs the per-trace loop (same kernels):
+#: 2.91-3.96x.
+REPLAY_BATCH_SPEEDUP_FLOOR = 2.1
 #: Buffered-capture peak over streaming-capture peak (tracemalloc).
 CAPTURE_STREAM_PEAK_FLOOR = 2.0
 

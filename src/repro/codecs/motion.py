@@ -10,9 +10,15 @@ integer-pel strategies are provided:
 - :func:`diamond_search` — the iterative large/small-diamond descent
   used by fast presets.
 
+Both also run over a precomputed SAD map (:func:`full_search_sads`,
+:func:`diamond_search_sads`); the encoder's vectorized path reads those
+maps from one :class:`SadVolume` per superblock and reference.
+
 Sub-pel refinement interpolates half- and quarter-pel candidates
 around the integer winner (bilinear taps; real codecs use 6–8-tap
-filters, which only changes the constant in the interpolation cost).
+filters, which only changes the constant in the interpolation cost);
+:func:`subpel_refine_stack` and :func:`interpolate_stack` are the
+leaf-stack forms the vectorized path uses.
 
 Every function reports how many candidate positions it evaluated and
 how many interpolated pixels it produced so the instrumentation layer
@@ -22,7 +28,6 @@ can charge the correct kernel work.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,21 +121,72 @@ def _block_offsets(height: int, width: int, pitch: int) -> np.ndarray:
     return offsets
 
 
-def _gather_blocks(
-    plane: np.ndarray, starts: list[int], height: int, width: int
-) -> np.ndarray:
-    """``(k, h, w)`` copies of the blocks of a C-contiguous ``plane``
-    (2-D, or a stack of equally-shaped planes) whose top-left samples
-    sit at flat indices ``starts``."""
-    offsets = _block_offsets(height, width, plane.shape[-1])
-    return plane.reshape(-1)[np.add.outer(starts, offsets)]
-
-
 def block_sad(a: np.ndarray, b: np.ndarray) -> float:
     """Sum of absolute differences of two equally-shaped blocks."""
     if a.shape != b.shape:
         raise CodecError(f"SAD shape mismatch {a.shape} vs {b.shape}")
     return float(np.abs(a.astype(np.int32) - b.astype(np.int32)).sum())
+
+
+class SadVolume:
+    """Integer SADs of every ``cell x cell`` cell of a square
+    superblock against one reference at every integer offset in
+    ``±search_range``.
+
+    The reference samples come from the same edge-clipped window
+    :func:`_padded_window` builds, so a block's SAD at any offset is the
+    sum of the SADs of the cells it covers.  Those sums are of
+    integers, exact in any order, so :meth:`leaf_sads` equals the SADs
+    a per-block search computes; it reads them from a cell-grid
+    integral image, one ``(2R+1, 2R+1)`` map per block.  ``cell`` must
+    be a power of two: each cell's sum comes from pairwise halvings of
+    the absolute-difference stack.
+    """
+
+    def __init__(
+        self,
+        src: np.ndarray,
+        ref: np.ndarray,
+        row: int,
+        col: int,
+        size: int,
+        search_range: int,
+        cell: int,
+    ) -> None:
+        if cell < 1 or cell & (cell - 1) or size % cell:
+            raise CodecError(f"cannot tile a {size} superblock by {cell} cells")
+        self.row, self.col, self.cell = row, col, cell
+        # Cell sums fit int16 up to 8x8 cells of 8-bit samples.
+        dtype = np.int16 if cell * cell * 255 <= np.iinfo(np.int16).max else np.int32
+        window = _padded_window(
+            ref, row, col, size, size, search_range
+        ).astype(dtype)
+        block = src[row : row + size, col : col + size].astype(dtype)
+        diffs = np.lib.stride_tricks.sliding_window_view(
+            window, (size, size)
+        ) - block
+        np.abs(diffs, out=diffs)
+        cells = size // cell
+        while diffs.shape[-1] > cells:
+            diffs = diffs[..., 0::2] + diffs[..., 1::2]
+        while diffs.shape[-2] > cells:
+            diffs = diffs[..., 0::2, :] + diffs[..., 1::2, :]
+        # (cells + 1, cells + 1, 2R + 1, 2R + 1) integral over the grid.
+        span = 2 * search_range + 1
+        integral = np.zeros((cells + 1, cells + 1, span, span), dtype=np.int64)
+        integral[1:, 1:] = diffs.transpose(2, 3, 0, 1)
+        np.cumsum(integral, axis=0, out=integral)
+        np.cumsum(integral, axis=1, out=integral)
+        self._integral = integral
+
+    def leaf_sads(self, row: int, col: int, height: int, width: int) -> np.ndarray:
+        """``(2R+1, 2R+1)`` SADs of the block at frame position
+        ``(row, col)``; entry ``[dr + R, dc + R]`` is offset ``(dr, dc)``."""
+        cell = self.cell
+        r0, c0 = (row - self.row) // cell, (col - self.col) // cell
+        r1, c1 = r0 + height // cell, c0 + width // cell
+        table = self._integral
+        return table[r1, c1] - table[r0, c1] - table[r1, c0] + table[r0, c0]
 
 
 def full_search(
@@ -156,7 +212,13 @@ def full_search(
     diffs = np.abs(
         candidates.astype(np.int32) - src.astype(np.int32)[None, None]
     )
-    sads = diffs.sum(axis=(2, 3))
+    return full_search_sads(diffs.sum(axis=(2, 3)), search_range)
+
+
+def full_search_sads(sads: np.ndarray, search_range: int) -> SearchResult:
+    """:func:`full_search` over a precomputed ``(2R+1, 2R+1)`` SAD map
+    (e.g. :meth:`SadVolume.leaf_sads`): the first minimum in raster
+    order wins, and the first 256 positions report their improvements."""
     best_flat = int(np.argmin(sads))
     best_r, best_c = divmod(best_flat, sads.shape[1])
     mv = MotionVector((best_r - search_range) * 8, (best_c - search_range) * 8)
@@ -175,8 +237,6 @@ def full_search(
 #: Large- and small-diamond offsets (integer pel).
 _LARGE_DIAMOND = ((-2, 0), (-1, -1), (-1, 1), (0, -2), (0, 2), (1, -1), (1, 1), (2, 0))
 _SMALL_DIAMOND = ((-1, 0), (0, -1), (0, 1), (1, 0))
-#: The centre and every point either diamond evaluates around it.
-_RING = ((0, 0),) + _LARGE_DIAMOND + _SMALL_DIAMOND
 
 
 def diamond_search(
@@ -201,41 +261,31 @@ def diamond_search(
                        margin + dc : margin + dc + width]
         return float(np.abs(block.astype(np.int32) - src32).sum())
 
-    def visit(cr: int, cc: int) -> None:
-        """Hook run whenever the search centre moves (no-op here)."""
+    return _diamond_walk(sad_at, search_range, start, max_steps)
 
-    if kernels.vectorized_enabled():
-        # Each time the centre moves, the SADs of every diamond point
-        # around it that the descent may evaluate next are computed in
-        # one stacked pass over views of the pre-widened window; the
-        # walk then reads them in its own order.  SADs are integer
-        # sums, exact in any order, so each equals the per-candidate
-        # value and every decision replays unchanged.
-        win32 = window.astype(np.int32)
-        pitch = win32.shape[1]
-        known: dict[tuple[int, int], float] = {}
 
-        def visit(cr: int, cc: int) -> None:  # noqa: F811
-            todo = [
-                (cr + dr, cc + dc) for dr, dc in _RING
-                if abs(cr + dr) <= search_range
-                and abs(cc + dc) <= search_range
-                and (cr + dr, cc + dc) not in known
-            ]
-            if not todo:
-                return
-            starts = [(margin + r) * pitch + margin + c for r, c in todo]
-            blocks = _gather_blocks(win32, starts, height, width)
-            sads = np.abs(blocks - src32).reshape(len(todo), -1).sum(axis=1)
-            known.update(zip(todo, sads.tolist()))
+def diamond_search_sads(
+    sads: np.ndarray,
+    search_range: int,
+    start: MotionVector = ZERO_MV,
+    max_steps: int = 16,
+) -> SearchResult:
+    """:func:`diamond_search` over a precomputed ``(2R+1, 2R+1)`` SAD
+    map (e.g. :meth:`SadVolume.leaf_sads`)."""
+    read = sads.item
+    return _diamond_walk(
+        lambda dr, dc: float(read(dr + search_range, dc + search_range)),
+        search_range, start, max_steps,
+    )
 
-        def sad_at(dr: int, dc: int) -> float:  # noqa: F811
-            return float(known[(dr, dc)])
 
+def _diamond_walk(
+    sad_at, search_range: int, start: MotionVector, max_steps: int
+) -> SearchResult:
+    """The diamond descent itself, reading SADs through ``sad_at(dr, dc)``."""
     cur_r, cur_c = start.row // 8, start.col // 8
     cur_r = max(-search_range, min(search_range, cur_r))
     cur_c = max(-search_range, min(search_range, cur_c))
-    visit(cur_r, cur_c)
     best = sad_at(cur_r, cur_c)
     positions = 1
     improvements: list[bool] = [True]
@@ -252,7 +302,6 @@ def diamond_search(
             improvements.append(better)
             if better:
                 best, cur_r, cur_c, improved = cand, nr, nc, True
-                visit(cur_r, cur_c)
         if not improved:
             break
     for dr, dc in _SMALL_DIAMOND:
@@ -265,7 +314,6 @@ def diamond_search(
         improvements.append(better)
         if better:
             best, cur_r, cur_c = cand, nr, nc
-            visit(cur_r, cur_c)
     return SearchResult(
         mv=MotionVector(cur_r * 8, cur_c * 8), sad=best, positions=positions,
         improvements=improvements,
@@ -301,6 +349,56 @@ def interpolate(ref: np.ndarray, row: int, col: int, height: int, width: int,
     np.maximum(pred, 0, out=pred)
     np.minimum(pred, 255, out=pred)
     return pred.astype(np.uint8)
+
+
+def interpolate_stack(
+    ref: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    height: int,
+    width: int,
+    mv_rows: np.ndarray,
+    mv_cols: np.ndarray,
+) -> np.ndarray:
+    """:func:`interpolate` of every block of a leaf stack: block ``i``
+    sits at ``(rows[i], cols[i])`` and moves by ``(mv_rows[i],
+    mv_cols[i])`` eighth-pels.  Returns ``(L, h, w)`` uint8.
+
+    Each leaf's edge-clipped window is gathered and blended with its own
+    bilinear taps through :func:`interpolate`'s expressions, elementwise,
+    so every block is bit-identical to the per-block call.  An
+    integer-pel vector has taps of exactly 1.0 and 0.0, for which the
+    blend and rounding return the window samples unchanged.
+    """
+    frac_r = rows + mv_rows / 8.0
+    frac_c = cols + mv_cols / 8.0
+    r0 = np.floor(frac_r)
+    c0 = np.floor(frac_c)
+    ar = (frac_r - r0)[:, None, None]
+    ac = (frac_c - c0)[:, None, None]
+    window = ref[
+        np.clip(r0.astype(np.intp)[:, None, None] + np.arange(height + 1)[:, None],
+                0, ref.shape[0] - 1),
+        np.clip(c0.astype(np.intp)[:, None, None] + np.arange(width + 1),
+                0, ref.shape[1] - 1),
+    ]
+    top = window[:, :height, :width] * (1 - ac) + window[:, :height, 1:] * ac
+    bot = window[:, 1:, :width] * (1 - ac) + window[:, 1:, 1:] * ac
+    pred = top * (1 - ar) + bot * ar
+    np.rint(pred, out=pred)
+    np.maximum(pred, 0, out=pred)
+    np.minimum(pred, 255, out=pred)
+    return pred.astype(np.uint8)
+
+
+def _subpel_ring(centre: MotionVector, step: int) -> list[MotionVector]:
+    """The eight candidates one refinement level evaluates, in order."""
+    return [
+        MotionVector(centre.row + dr, centre.col + dc)
+        for dr in (-step, 0, step)
+        for dc in (-step, 0, step)
+        if not (dr == 0 and dc == 0)
+    ]
 
 
 def subpel_refine(
@@ -353,72 +451,105 @@ def subpel_refine(
         pred = top * (1 - ar) + bot * ar
         return float(np.abs(src_f - pred).sum())
 
-    fast = kernels.vectorized_enabled()
     step = 4  # half-pel in eighth-pel units
     for _ in range(min(depth, 3)):
         # Candidates are taken around the level's starting centre, so
         # total drift from the integer-pel winner stays under one pel
-        # (the pre-extracted window's margin).  The centre is fixed for
-        # the whole level, so (unlike the diamond passes) all eight
-        # candidates batch without replay: the bilinear taps stack into
-        # one broadcast blend, and each SAD reduces over its own
-        # contiguous slice with the scalar path's exact expression.
-        centre = best_mv
-        candidates = [
-            MotionVector(centre.row + dr, centre.col + dc)
-            for dr in (-step, 0, step)
-            for dc in (-step, 0, step)
-            if not (dr == 0 and dc == 0)
-        ]
-        if fast:
-            # The level's eight candidates share at most three distinct
-            # horizontal fractions, so the column blend is computed once
-            # per fraction over the whole window; every candidate's
-            # prediction is then a two-tap row blend of windows gathered
-            # from it, all eight in one stacked pass, and each SAD
-            # reduces over its own contiguous row.  Every element goes
-            # through the exact tap expressions of ``sad_at`` and a row
-            # reduction sums like the whole-block one, so the SADs are
-            # bit-identical.
-            taps = []
-            for mv in candidates:
-                fr = row + mv.row / 8.0 - (base_r - margin)
-                fc = col + mv.col / 8.0 - (base_c - margin)
-                r0 = math.floor(fr)
-                c0 = math.floor(fc)
-                taps.append((r0, c0, fr - r0, fc - c0))
-            fractions = sorted({ac for _, _, _, ac in taps})
-            ac = np.array(fractions)[:, None, None]
-            hblend = window_f[None, :, :-1] * (1 - ac) + window_f[None, :, 1:] * ac
-            plane_rows, pitch = hblend.shape[1:]
-            starts = [
-                (fractions.index(fc) * plane_rows + r0) * pitch + c0
-                for r0, c0, _, fc in taps
-            ]
-            top = _gather_blocks(hblend, starts, height, width)
-            bot = _gather_blocks(
-                hblend, [start + pitch for start in starts], height, width
-            )
-            ar = np.array([tap[2] for tap in taps])[:, None, None]
-            pred = top * (1 - ar) + bot * ar
-            sads = np.abs(src_f - pred).reshape(len(taps), -1).sum(axis=1).tolist()
-        else:
-            sads = None
-        for index, mv in enumerate(candidates):
+        # (the pre-extracted window's margin).
+        for mv in _subpel_ring(best_mv, step):
             interp_pixels += height * width
             positions += 1
-            sad = sads[index] if sads is not None else sad_at(mv)
+            sad = sad_at(mv)
             better = sad < best_sad
             improvements.append(better)
             if better:
                 best_sad, best_mv = sad, mv
         step //= 2
-        if step == 0:
-            break
     return SearchResult(
         mv=best_mv, sad=best_sad, positions=positions,
         interp_pixels=interp_pixels, improvements=improvements,
     )
+
+
+def subpel_refine_stack(
+    src: np.ndarray,
+    ref: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    starts: list[SearchResult],
+    depth: int,
+) -> list[SearchResult]:
+    """:func:`subpel_refine` of every block of an ``(L, h, w)`` source
+    stack, the leaves in lockstep level by level.
+
+    Each level blends every leaf's eight candidates in one stacked pass:
+    the four bilinear neighbours of each candidate are gathered from its
+    leaf's window and combined through ``sad_at``'s exact tap
+    expressions, elementwise, and each SAD reduces over its own
+    contiguous row as the whole-block sum does, so every SAD — and so
+    every decision — is bit-identical to the per-leaf call.
+    """
+    if depth <= 0:
+        return list(starts)
+    count, height, width = src.shape
+    best_mv = [start.mv for start in starts]
+    best_sad = [start.sad for start in starts]
+    positions = [start.positions for start in starts]
+    interp_pixels = [start.interp_pixels for start in starts]
+    improvements = [list(start.improvements) for start in starts]
+
+    margin = 2
+    top_r = rows + np.array([mv.row // 8 for mv in best_mv]) - margin
+    top_c = cols + np.array([mv.col // 8 for mv in best_mv]) - margin
+    win_h, win_w = height + 1 + 2 * margin, width + 1 + 2 * margin
+    window = ref[
+        np.clip(top_r[:, None, None] + np.arange(win_h)[:, None],
+                0, ref.shape[0] - 1),
+        np.clip(top_c[:, None, None] + np.arange(win_w), 0, ref.shape[1] - 1),
+    ].astype(np.float64).reshape(-1)
+    leaf = np.repeat(np.arange(count), 8)
+    src_f = src.astype(np.float64)[leaf]
+    offsets = _block_offsets(height, width, win_w)
+    rows, cols, top_r, top_c = rows[leaf], cols[leaf], top_r[leaf], top_c[leaf]
+
+    step = 4
+    for _ in range(min(depth, 3)):
+        candidates = [
+            mv for centre in best_mv for mv in _subpel_ring(centre, step)
+        ]
+        fr = rows + np.array([mv.row for mv in candidates]) / 8.0 - top_r
+        fc = cols + np.array([mv.col for mv in candidates]) / 8.0 - top_c
+        r0 = np.floor(fr)
+        c0 = np.floor(fc)
+        ar = (fr - r0)[:, None, None]
+        ac = (fc - c0)[:, None, None]
+        corner = (
+            leaf * (win_h * win_w) + r0.astype(np.intp) * win_w
+            + c0.astype(np.intp)
+        )[:, None, None] + offsets
+        top = window[corner] * (1 - ac) + window[corner + 1] * ac
+        bot = window[corner + win_w] * (1 - ac) + window[corner + win_w + 1] * ac
+        pred = top * (1 - ar) + bot * ar
+        sads = np.abs(src_f - pred).reshape(len(candidates), -1).sum(axis=1)
+        sads = sads.tolist()
+        for index, mv in enumerate(candidates):
+            owner = index // 8
+            interp_pixels[owner] += height * width
+            positions[owner] += 1
+            sad = sads[index]
+            better = sad < best_sad[owner]
+            improvements[owner].append(better)
+            if better:
+                best_sad[owner], best_mv[owner] = sad, mv
+        step //= 2
+    return [
+        SearchResult(
+            mv=best_mv[index], sad=best_sad[index], positions=positions[index],
+            interp_pixels=interp_pixels[index],
+            improvements=improvements[index],
+        )
+        for index in range(count)
+    ]
 
 
 def mv_bits(mv: MotionVector, predictor: MotionVector) -> float:

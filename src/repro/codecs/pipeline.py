@@ -30,6 +30,7 @@ at low CRF almost every refinement still pays for itself (DESIGN.md
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,14 +59,25 @@ from .entropy.coefcode import (
 from .motion import (
     ZERO_MV,
     MotionVector,
+    SadVolume,
     SearchResult,
     diamond_search,
+    diamond_search_sads,
     full_search,
+    full_search_sads,
     interpolate,
+    interpolate_stack,
     mv_bits,
     subpel_refine,
+    subpel_refine_stack,
 )
-from .predict import IntraMode, extend_neighbours, predict, predict_stack
+from .predict import (
+    IntraMode,
+    extend_neighbours,
+    neighbours_stack,
+    predict,
+    predict_stack,
+)
 from .quant import Quantizer, crf_to_qindex, qindex_to_step, rd_lambda
 from .transform import (
     TRANSFORM_SIZES,
@@ -77,6 +89,7 @@ from .transform import (
     satd,
     satd_batch,
     tile_block,
+    tile_stack,
     untile_block,
     untile_stack,
 )
@@ -119,6 +132,83 @@ class LeafPlan:
 
 
 @dataclass
+class _TxStack:
+    """Transform-RD results of a stack of same-shape residuals.
+
+    Row ``i`` of each per-residual list holds residual ``i``'s value
+    for every (size, type) candidate, in search order; ``recon`` is
+    ``(S, L, T, h, w)`` and ``levels`` ``(S, L * T, P)``.  ``chosen``
+    is each residual's (sse, bits) pick, for the precompute's gating.
+    """
+
+    candidates: tuple[tuple[int, int, int, str], ...]
+    bits: list[list[float]]
+    sse: list[list[float]]
+    cbf: list[list[bool]]
+    chosen: list[tuple[float, float]]
+    energy: list[float]
+    recon: np.ndarray
+    levels: np.ndarray
+
+    def choice(self, index: int, group: int) -> TransformChoice:
+        size_idx, tx, type_idx, tx_type = self.candidates[group]
+        types = self.recon.shape[2]
+        return TransformChoice(
+            tx_size=tx, tx_type=tx_type, sse=self.sse[index][group],
+            bits=self.bits[index][group],
+            recon_residual=self.recon[size_idx, index, type_idx],
+            levels=self.levels[size_idx, index * types + type_idx].reshape(
+                -1, tx, tx
+            ),
+        )
+
+
+@dataclass
+class _LeafResults:
+    """One superblock's precomputed per-leaf search results (the
+    vectorized path's stage 1; see :meth:`_EncodeRun._precompute`).
+
+    ``tx`` maps a candidate key — ``("intra", rect, mode)``,
+    ``("inter", rect, mv, ref)`` or ``("comp", rect, index)`` — to its
+    ``(stack, row)``; ``pending`` holds residuals awaiting the next
+    stacked transform-RD pass, grouped by shape.
+    """
+
+    satd: dict[BlockRect, tuple[list[float], dict[int, float]]] = field(
+        default_factory=dict
+    )
+    skip_sse: dict[BlockRect, float] = field(default_factory=dict)
+    filter_errs: dict[tuple, list[float]] = field(default_factory=dict)
+    search: dict[tuple, tuple[SearchResult, SearchResult]] = field(
+        default_factory=dict
+    )
+    tx: dict[tuple, tuple[_TxStack, int]] = field(default_factory=dict)
+    pending: dict[tuple[int, int], list[tuple[tuple, np.ndarray]]] = field(
+        default_factory=dict
+    )
+
+    def request(self, key: tuple, residual: np.ndarray) -> None:
+        self.pending.setdefault(residual.shape, []).append((key, residual))
+
+
+class _LeafState:
+    """The inter decision state the precompute tracks per leaf, to gate
+    each stage exactly as the walk will decide."""
+
+    __slots__ = ("cost", "mv", "ref", "filt", "predictor", "src")
+
+    def __init__(
+        self, cost: float, predictor: MotionVector, src: np.ndarray
+    ) -> None:
+        self.cost = cost
+        self.mv = predictor
+        self.ref = 0
+        self.filt = 0
+        self.predictor = predictor
+        self.src = src
+
+
+@dataclass
 class PartitionPlan:
     """Chosen partitioning of a square block."""
 
@@ -154,6 +244,19 @@ def _tx_sizes(height: int, width: int, depth: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
+def _tx_candidates(
+    sizes: tuple[int, ...], tx_types: tuple[str, ...]
+) -> tuple[tuple[int, int, int, str], ...]:
+    """(size index, size, type index, type) of every transform
+    candidate, in search order."""
+    return tuple(
+        (size_idx, tx, type_idx, tx_type)
+        for size_idx, tx in enumerate(sizes)
+        for type_idx, tx_type in enumerate(tx_types)
+    )
+
+
+@functools.lru_cache(maxsize=None)
 def _dc_positions(sizes: tuple[int, ...], count: int, pixels: int) -> np.ndarray:
     """Flat DC indices of a ``(len(sizes), count, pixels)`` coefficient
     stack whose row ``k`` holds ``count`` raster-ordered tilings by
@@ -175,8 +278,28 @@ def _to_pixels(values: np.ndarray) -> np.ndarray:
     return out.astype(np.uint8)
 
 
+def _smooth_edge(samples: np.ndarray) -> np.ndarray:
+    """AV1's intra edge filter: a [1, 2, 1] / 4 low-pass over the inner
+    neighbour samples (of each row of a leaf stack).  Directional
+    modes are also evaluated against the filtered neighbours."""
+    out = samples.copy()
+    out[..., 1:-1] = (
+        samples[..., :-2] + 2 * samples[..., 1:-1] + samples[..., 2:]
+    ) / 4.0
+    return out
+
+
+def _by_shape(rects: Iterable[BlockRect]) -> dict[tuple[int, int], list[BlockRect]]:
+    """``rects`` grouped by block shape, in order."""
+    groups: dict[tuple[int, int], list[BlockRect]] = {}
+    for rect in rects:
+        groups.setdefault((rect.height, rect.width), []).append(rect)
+    return groups
+
+
 def _filtered_predictions(pred: np.ndarray, count: int) -> list[np.ndarray]:
-    """The first ``count`` MC filter outputs of a float64 prediction.
+    """The first ``count`` MC filter outputs of a float64 prediction, or
+    of each block of an ``(..., h, w)`` stack of them.
 
     Filter 0 is the base interpolator; 1 ("smooth") low-passes the
     prediction; 2 ("sharp") adds a mild unsharp mask — the
@@ -184,21 +307,22 @@ def _filtered_predictions(pred: np.ndarray, count: int) -> list[np.ndarray]:
     """
     outputs = [pred.astype(np.uint8)]
     if count > 1:
-        # Slice-assembled circular shifts: same wrap-around semantics
-        # (and the same operand order, hence bit-identical sums) as
-        # four np.roll calls, without their per-call indexing overhead.
+        # Slice-assembled circular shifts within each block: same
+        # wrap-around semantics (and the same operand order, hence
+        # bit-identical sums) as four np.roll calls, without their
+        # per-call indexing overhead.
         down = np.empty_like(pred)
-        down[0] = pred[-1]
-        down[1:] = pred[:-1]
+        down[..., 0, :] = pred[..., -1, :]
+        down[..., 1:, :] = pred[..., :-1, :]
         up = np.empty_like(pred)
-        up[-1] = pred[0]
-        up[:-1] = pred[1:]
+        up[..., -1, :] = pred[..., 0, :]
+        up[..., :-1, :] = pred[..., 1:, :]
         right = np.empty_like(pred)
-        right[:, 0] = pred[:, -1]
-        right[:, 1:] = pred[:, :-1]
+        right[..., 0] = pred[..., -1]
+        right[..., 1:] = pred[..., :-1]
         left = np.empty_like(pred)
-        left[:, -1] = pred[:, 0]
-        left[:, :-1] = pred[:, 1:]
+        left[..., -1] = pred[..., 0]
+        left[..., :-1] = pred[..., 1:]
         blurred = (pred + down + up + right + left) / 5.0
         outputs.append(_to_pixels(blurred))
         if count > 2:
@@ -259,6 +383,9 @@ class _EncodeRun:
         # Kernel path, resolved once per encode (see repro.kernels).
         self.vectorized = kernels.vectorized_enabled()
         self.tx_types = tuple(TX_TYPES[: self.profile.tx_types])
+        # Intra modes ranked for the inter-frame intra fallback.
+        self.fallback_modes = max(1, self.profile.intra_mode_count // 2)
+        self.leaf_layout = self._leaf_layout()
         # Branch sites the search loops hit on every candidate,
         # interned once instead of formatted per call.
         family, site = spec.family, inst.site
@@ -304,14 +431,14 @@ class _EncodeRun:
         self.coder: CoefficientCoder | None = None
         self.bool_encoder: BoolEncoder | None = None
         self.frame_symbol_count = 0
+        # Leaf decisions of the current superblock's walk, shared between
+        # partition shapes that produce the same sub-rectangle.
         self._leaf_cache: dict[BlockRect, tuple[float, LeafPlan]] = {}
-        # Per-superblock intra search results of the vectorized path:
-        # rect -> (candidate modes, (m, h, w) int32 residual stack).
-        # ``self.recon`` only changes in ``_apply_plan``, after the
-        # superblock's search, so the residuals stay valid until then.
-        self._intra_cache: dict[
-            BlockRect, tuple[tuple[IntraMode, ...], np.ndarray]
-        ] = {}
+        # The vectorized path's per-leaf kernel results for the current
+        # superblock (None on the scalar path).  ``self.recon`` and
+        # ``self.mv_field`` only change in ``_apply_plan``, after the
+        # superblock's search, so they stay valid for its whole walk.
+        self._leaf_results: _LeafResults | None = None
         self._chroma_planes: dict[str, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
@@ -381,7 +508,8 @@ class _EncodeRun:
                     # SPLIT's quadrants and HORZ_A's squares), exactly
                     # as real encoders reuse mode-decision results.
                     self._leaf_cache = {}
-                    self._intra_cache = {}
+                    if self.vectorized:
+                        self._precompute(rect)
                     with inst.function(
                         f"{self.spec.family}.encode_superblock"
                     ):
@@ -489,6 +617,26 @@ class _EncodeRun:
         """
         return cost < self.profile.early_exit_scale * 0.1 * self.lam * pixels
 
+    def _skip_good(self, skip_sse: float, pixels: int) -> bool:
+        """Accept the no-residual skip candidate outright.
+
+        Requires the no-residual distortion to sit at the quantisation
+        floor already — anything looser locks in above-floor error that
+        compounds across inter frames.  (The lambda-based
+        :meth:`_cost_cheap` is only used to *prune* search among
+        candidates that still code a residual.)
+        """
+        quant_floor = self.step * self.step / 12.0
+        return skip_sse < 1.2 * quant_floor * pixels
+
+    def _can_split(self, width: int, depth: int) -> bool:
+        """Whether the search may partition a ``width``-wide square
+        block at ``depth`` (and, for SPLIT children, recurse into it)."""
+        return (
+            depth < self.profile.max_partition_depth
+            and width >= 2 * self.spec.min_block
+        )
+
     def _search_partition(self, rect: BlockRect, depth: int) -> PartitionPlan:
         inst = self.inst
         family = self.spec.family
@@ -500,10 +648,7 @@ class _EncodeRun:
             cost=none_cost + self.lam * _PARTITION_SIGNAL_BITS,
         )
 
-        can_split = (
-            depth < self.profile.max_partition_depth
-            and rect.width >= 2 * self.spec.min_block
-        )
+        can_split = self._can_split(rect.width, depth)
         exit_now = (not can_split) or self._cost_cheap(
             none_cost, rect.pixels
         )
@@ -522,10 +667,8 @@ class _EncodeRun:
             plans: list[PartitionPlan | LeafPlan] = []
             aborted = False
             for child in children:
-                if (
-                    part is PartitionType.SPLIT
-                    and child.width >= 2 * self.spec.min_block
-                    and depth + 1 < self.profile.max_partition_depth
+                if part is PartitionType.SPLIT and self._can_split(
+                    child.width, depth + 1
                 ):
                     child_plan = self._search_partition(child, depth + 1)
                     cost += child_plan.cost
@@ -548,6 +691,406 @@ class _EncodeRun:
                     rect=rect, partition=part, children=plans, cost=cost
                 )
         return best
+
+    def _leaf_layout(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        """Every leaf :meth:`_search_partition` may evaluate in a
+        superblock, as ``(height, width) -> [(row, col) offsets]``.
+
+        Mirrors the walk's recursion with early exits taken as never
+        firing, so the walk's leaves are always a subset.
+        """
+        leaves: dict[BlockRect, None] = {}
+
+        def visit(rect: BlockRect, depth: int) -> None:
+            leaves[rect] = None
+            if not self._can_split(rect.width, depth):
+                return
+            for part in legal_partitions(
+                rect.width, self.profile.partition_vocabulary,
+                self.spec.min_block,
+            ):
+                if part is PartitionType.NONE:
+                    continue
+                for child in sub_blocks(rect, part):
+                    if part is PartitionType.SPLIT and self._can_split(
+                        child.width, depth + 1
+                    ):
+                        visit(child, depth + 1)
+                    else:
+                        leaves[child] = None
+
+        visit(BlockRect(0, 0, self.sb, self.sb), 0)
+        return {
+            shape: [(rect.row, rect.col) for rect in rects]
+            for shape, rects in _by_shape(leaves).items()
+        }
+
+    def _superblock_leaves(
+        self, sb: BlockRect
+    ) -> list[tuple[tuple[int, int], list[BlockRect]]]:
+        """The superblock's legal leaves, grouped by shape."""
+        return [
+            ((height, width), [
+                BlockRect(sb.row + row, sb.col + col, height, width)
+                for row, col in offsets
+            ])
+            for (height, width), offsets in self.leaf_layout.items()
+        ]
+
+    # ------------------------------------------------------------------
+    # Stacked per-superblock precompute (vectorized path)
+    # ------------------------------------------------------------------
+    def _precompute(self, sb: BlockRect) -> None:
+        """Stage 1 of a superblock's search on the vectorized path.
+
+        Computes, for every leaf the walk may visit, the kernel results
+        its decisions read: intra SATDs, transform RD of every residual
+        candidate, skip and filter distortions and motion searches.
+        Each transform-RD pass covers every pending residual of one
+        shape.  Inter candidates are staged in the walk's order, and
+        each stage is gated with the walk's own predicates
+        (:meth:`_skip_good`, :meth:`_cost_cheap`) on the decision state
+        tracked per leaf, so no candidate the walk will not consume is
+        computed.  Stage 2 is the unchanged :meth:`_search_partition`
+        walk, which charges every visited leaf's work, in order, from
+        these results; results of leaves it does not visit are dropped.
+        """
+        self._leaf_results = _LeafResults()
+        shapes = self._superblock_leaves(sb)
+        if self.is_inter_frame and self.refs:
+            self._precompute_inter(sb, shapes)
+        else:
+            self._precompute_intra(
+                shapes, self.profile.intra_mode_count,
+                self.profile.rd_candidates,
+            )
+            self._flush_transforms()
+
+    def _src_stack(
+        self, rects: list[BlockRect], height: int, width: int
+    ) -> np.ndarray:
+        """``(L, h, w)`` int32 source blocks of same-shape ``rects``."""
+        pitch = self.src.shape[1]
+        starts = np.array([rect.row * pitch + rect.col for rect in rects])
+        offsets = np.arange(height)[:, None] * pitch + np.arange(width)
+        return self.src.reshape(-1)[
+            starts[:, None, None] + offsets
+        ].astype(np.int32)
+
+    def _precompute_intra(
+        self,
+        shapes: list[tuple[tuple[int, int], list[BlockRect]]],
+        budget: int,
+        rd_count: int,
+    ) -> None:
+        """SATD-rank the first ``budget`` intra modes of every leaf and
+        queue the residuals of each leaf's ``rd_count`` best modes.
+
+        Per shape, one :func:`predict_stack` call predicts every mode
+        (and every edge-filtered alternative) of every leaf and one
+        :func:`satd_batch` call scores them all.
+        """
+        results = self._leaf_results
+        modes = tuple(self.spec.intra_modes[:budget])
+        alt_index = [
+            index for index, mode in enumerate(modes)
+            if self.profile.intra_edge_filter and mode.value.startswith("d")
+        ]
+        mode_bits = self.lam * _MODE_SIGNAL_BITS
+        for (height, width), rects in shapes:
+            src = self._src_stack(rects, height, width)
+            above, left = neighbours_stack(
+                self.recon,
+                np.array([rect.row for rect in rects]),
+                np.array([rect.col for rect in rects]),
+                height, width,
+            )
+            residuals = src[:, None] - predict_stack(
+                modes, above, left, height, width
+            ).astype(np.int32)
+            stack = residuals
+            if alt_index:
+                alt_preds = predict_stack(
+                    tuple(modes[index] for index in alt_index),
+                    _smooth_edge(above), _smooth_edge(left), height, width,
+                )
+                stack = np.concatenate(
+                    (residuals, src[:, None] - alt_preds.astype(np.int32)),
+                    axis=1,
+                )
+            scores = satd_batch(stack).tolist()
+            for row, rect in enumerate(rects):
+                satd_scores = scores[row]
+                alt_satd = dict(zip(alt_index, satd_scores[len(modes):]))
+                results.satd[rect] = (satd_scores, alt_satd)
+                # The ranking _intra_candidates returns: modes scored
+                # until the early exit, best first.
+                threshold = self._mode_exit_threshold(rect.pixels)
+                ranked: list[tuple[float, int]] = []
+                best_score = float("inf")
+                for index in range(len(modes)):
+                    score = satd_scores[index] + mode_bits
+                    if index in alt_satd:
+                        score = min(score, alt_satd[index] + mode_bits)
+                    ranked.append((score, index))
+                    best_score = min(best_score, score)
+                    if best_score < threshold:
+                        break
+                ranked.sort(key=lambda entry: entry[0])
+                for _, index in ranked[:rd_count]:
+                    results.request(
+                        ("intra", rect, modes[index]),
+                        residuals[row, index].astype(np.float64),
+                    )
+
+    def _precompute_inter(
+        self,
+        sb: BlockRect,
+        shapes: list[tuple[tuple[int, int], list[BlockRect]]],
+    ) -> None:
+        """Inter-leaf stages, in :meth:`_evaluate_inter_leaf`'s order:
+        skip, the intra fallback and each reference-MV candidate, each
+        NEWMV reference, then compound candidates."""
+        results = self._leaf_results
+        states: dict[BlockRect, _LeafState] = {}
+        for (height, width), rects in shapes:
+            src = self._src_stack(rects, height, width)
+            predictors = [self._predict_mv(rect) for rect in rects]
+            preds = self._mc_stack(0, rects, predictors)
+            skip_sses = ((src - preds.astype(np.int32)) ** 2).reshape(
+                len(rects), -1
+            ).sum(axis=1).tolist()
+            for rect, block, predictor, skip_sse in zip(
+                rects, src, predictors, skip_sses
+            ):
+                results.skip_sse[rect] = skip_sse = float(skip_sse)
+                if not self._skip_good(skip_sse, rect.pixels):
+                    states[rect] = _LeafState(
+                        skip_sse + self.lam * _SKIP_SIGNAL_BITS, predictor, block
+                    )
+        if not states:
+            return
+        self._precompute_intra(
+            list(_by_shape(states).items()), self.fallback_modes, 1
+        )
+
+        # Reference-MV candidates: the first always runs; each later one
+        # only while the best cost is not yet cheap.
+        candidates = {
+            rect: self._inter_mv_candidates(rect, state.predictor)
+            for rect, state in states.items()
+        }
+        for index in range(max(map(len, candidates.values()))):
+            step = {
+                rect: mvs[index] for rect, mvs in candidates.items()
+                if index < len(mvs) and (
+                    index == 0
+                    or not self._cost_cheap(states[rect].cost, rect.pixels)
+                )
+            }
+            self._stage_inter(states, step, 0)
+        self._flush_transforms()  # the intra fallback's, if no candidate ran
+
+        # NEWMV over the reference list, skipped or stopped once cheap.
+        profile = self.profile
+        for ref_index in range(min(profile.reference_frames, len(self.refs))):
+            active = [
+                rect for rect, state in states.items()
+                if not self._cost_cheap(state.cost, rect.pixels)
+            ]
+            if not active:
+                break
+            ref = self.refs[ref_index]
+            volume = SadVolume(
+                self.src, ref, sb.row, sb.col, self.sb,
+                profile.search_range, self.spec.min_block,
+            )
+            found = {}
+            for rect in active:
+                sads = volume.leaf_sads(
+                    rect.row, rect.col, rect.height, rect.width
+                )
+                if profile.motion_strategy == "full":
+                    found[rect] = full_search_sads(sads, profile.search_range)
+                else:
+                    found[rect] = diamond_search_sads(
+                        sads, profile.search_range,
+                        start=states[rect].predictor,
+                    )
+            refined = dict(found)
+            if profile.subpel_depth > 0:
+                for rects in _by_shape(active).values():
+                    refined.update(zip(rects, subpel_refine_stack(
+                        np.stack([states[rect].src for rect in rects]),
+                        ref,
+                        np.array([rect.row for rect in rects]),
+                        np.array([rect.col for rect in rects]),
+                        [found[rect] for rect in rects],
+                        profile.subpel_depth,
+                    )))
+            for rect in active:
+                results.search[(rect, ref_index)] = (found[rect], refined[rect])
+            self._stage_inter(
+                states, {rect: refined[rect].mv for rect in active}, ref_index
+            )
+
+        # Compound candidates average the best single-reference
+        # prediction with reference 1.
+        if profile.compound_modes > 0 and len(self.refs) >= 2:
+            for rect, state in states.items():
+                pred_a = self._mc_prediction(
+                    rect, state.mv, state.ref, state.filt
+                ).astype(np.uint16)
+                for comp_idx in range(profile.compound_modes):
+                    second_mv = state.predictor if comp_idx == 0 else ZERO_MV
+                    pred_b = self._mc_prediction(rect, second_mv, 1, 0)
+                    comp_pred = (
+                        (pred_a + pred_b.astype(np.uint16)) // 2
+                    ).astype(np.uint8)
+                    results.request(
+                        ("comp", rect, comp_idx),
+                        (state.src - comp_pred.astype(np.int32)).astype(
+                            np.float64
+                        ),
+                    )
+            self._flush_transforms()
+
+    def _stage_inter(
+        self,
+        states: dict[BlockRect, _LeafState],
+        step: dict[BlockRect, MotionVector],
+        ref_index: int,
+    ) -> None:
+        """Evaluate each leaf's inter candidate ``step[leaf]``: filter
+        search, then a stacked transform-RD pass; then fold each cost
+        into the leaf's decision state as :meth:`_rd_cost_inter`'s
+        caller does."""
+        results = self._leaf_results
+        num_filters = max(1, self.profile.interp_filters)
+        todo = [
+            rect for rect, mv in step.items()
+            if ("inter", rect, mv, ref_index) not in results.filter_errs
+        ]
+        for rects in _by_shape(todo).values():
+            mvs = [step[rect] for rect in rects]
+            src = np.stack([states[rect].src for rect in rects])
+            filtered = np.stack(_filtered_predictions(
+                self._mc_stack(ref_index, rects, mvs).astype(np.float64),
+                num_filters,
+            ), axis=1)
+            errs = ((src[:, None] - filtered.astype(np.int32)) ** 2).reshape(
+                len(rects), num_filters, -1
+            ).sum(axis=2)
+            best = filtered[np.arange(len(rects)), errs.argmin(axis=1)]
+            residuals = (src - best.astype(np.int32)).astype(np.float64)
+            for rect, mv, leaf_errs, residual in zip(
+                rects, mvs, errs.tolist(), residuals
+            ):
+                key = ("inter", rect, mv, ref_index)
+                results.filter_errs[key] = [float(err) for err in leaf_errs]
+                results.request(key, residual)
+        self._flush_transforms()
+        for rect, mv in step.items():
+            state = states[rect]
+            key = ("inter", rect, mv, ref_index)
+            stack, row = results.tx[key]
+            sse, bits = stack.chosen[row]
+            cost = sse + self.lam * (
+                bits + mv_bits(mv, state.predictor) + _SKIP_SIGNAL_BITS
+            )
+            if cost < state.cost:
+                errs = results.filter_errs[key]
+                state.cost, state.mv, state.ref = cost, mv, ref_index
+                state.filt = errs.index(min(errs))
+
+    def _mc_stack(
+        self,
+        ref_index: int,
+        rects: list[BlockRect],
+        mvs: list[MotionVector],
+    ) -> np.ndarray:
+        """Base MC predictions of same-shape ``rects`` at ``mvs``."""
+        return interpolate_stack(
+            self.refs[ref_index],
+            np.array([rect.row for rect in rects]),
+            np.array([rect.col for rect in rects]),
+            rects[0].height, rects[0].width,
+            np.array([mv.row for mv in mvs]),
+            np.array([mv.col for mv in mvs]),
+        )
+
+    def _flush_transforms(self) -> None:
+        """Run every pending residual through one transform-RD pass per
+        shape and file each result under its candidate key."""
+        results = self._leaf_results
+        for requests in results.pending.values():
+            stack = self._transform_stack(
+                np.stack([residual for _, residual in requests])
+            )
+            for row, (key, _) in enumerate(requests):
+                results.tx[key] = (stack, row)
+        results.pending.clear()
+
+    def _transform_stack(self, residuals: np.ndarray) -> _TxStack:
+        """Transform-size/type search of every residual of an ``(L, h,
+        w)`` stack, in one stacked pass.
+
+        Per size, one forward and one inverse matmul pair covers every
+        residual and type (broadcast matmul computes the same 2-D
+        product per slice); quantisation, rate, dequantisation run once
+        over the ``(size, residual * type, pixel)`` stack (elementwise,
+        the DC positions given as flat indices; the rate model is
+        integer), and SSE, coded-block flags and residual energy are
+        reductions over each candidate's own contiguous row.  Every
+        value equals the per-candidate computation of the scalar
+        :meth:`_transform_rd`.
+        """
+        count, height, width = residuals.shape
+        pixels = height * width
+        tx_types = self.tx_types
+        types = len(tx_types)
+        sizes = self._tx_candidate_sizes(height, width)
+        groups = count * types
+        coeffs = np.empty((len(sizes), groups, pixels))
+        for size_idx, tx in enumerate(sizes):
+            coeffs[size_idx] = forward_tx_stack(
+                tile_stack(residuals, tx), tx_types
+            ).reshape(groups, pixels)
+        dc = _dc_positions(sizes, groups, pixels)
+        levels = self.quant.quantize(coeffs, dc=dc)
+        bits = np.array(rate_estimate_groups(levels, sizes))
+        coeffs = self.quant.dequantize(levels, dc=dc)
+        recon = np.empty((len(sizes), count, types, height, width))
+        for size_idx, tx in enumerate(sizes):
+            recon[size_idx] = untile_stack(
+                inverse_tx_stack(
+                    coeffs[size_idx].reshape(count, types, -1, tx, tx),
+                    tx_types,
+                ).reshape(groups, -1, tx, tx),
+                height, width,
+            ).reshape(count, types, height, width)
+        rows = len(sizes) * groups
+        sse = ((residuals[None, :, None] - recon) ** 2).reshape(
+            rows, -1
+        ).sum(axis=1)
+        cbf = levels.reshape(rows, -1).any(axis=1)
+
+        def per_residual(values: np.ndarray) -> np.ndarray:
+            return values.reshape(len(sizes), count, types).transpose(
+                1, 0, 2
+            ).reshape(count, -1)
+
+        sse, bits, cbf = per_residual(sse), per_residual(bits), per_residual(cbf)
+        picks = (sse + self.lam * bits).argmin(axis=1)
+        rank = np.arange(count)
+        chosen = list(zip(sse[rank, picks].tolist(), bits[rank, picks].tolist()))
+        return _TxStack(
+            candidates=_tx_candidates(sizes, tx_types),
+            bits=bits.tolist(), sse=sse.tolist(), cbf=cbf.tolist(),
+            chosen=chosen,
+            energy=(residuals * residuals).reshape(count, -1).sum(axis=1).tolist(),
+            recon=recon, levels=levels,
+        )
 
     # ------------------------------------------------------------------
     # Leaf (mode) decision
@@ -575,58 +1118,34 @@ class _EncodeRun:
     def _intra_candidates(
         self, rect: BlockRect, mode_budget: int
     ) -> list[IntraMode]:
-        """SATD-rank intra modes; returns modes ordered best-first."""
+        """SATD-rank intra modes; returns modes ordered best-first.
+
+        The vectorized path reads every candidate's SATD (and every
+        edge-filtered alternative's) from the superblock precompute;
+        the decision loop — charges, branches and the early exit
+        included — consumes the same float values in the same order as
+        the scalar path, so the ranking and every event are identical.
+        """
         inst = self.inst
-        src_block = self._src_block(rect)
-        above, left = extend_neighbours(
-            self.recon, rect.row, rect.col, rect.height, rect.width
-        )
         inst.touch(self.rec_plane, max(rect.row - 1, 0), 1, rect.col, rect.width)
         inst.touch(self.src_plane, rect.row, rect.height, rect.col, rect.width)
-
-        if self.profile.intra_edge_filter:
-            # AV1's intra edge-filter search: directional modes are also
-            # evaluated against low-passed reference pixels.
-            smooth_above = above.copy()
-            smooth_above[1:-1] = (above[:-2] + 2 * above[1:-1] + above[2:]) / 4.0
-            smooth_left = left.copy()
-            smooth_left[1:-1] = (left[:-2] + 2 * left[1:-1] + left[2:]) / 4.0
 
         modes = tuple(self.spec.intra_modes[:mode_budget])
         scores: list[tuple[float, int, IntraMode]] = []
         best_score = float("inf")
         exit_threshold = self._mode_exit_threshold(rect.pixels)
 
-        # Vectorized-kernels path: every candidate prediction (and
-        # every edge-filtered alternative) comes out of one stacked
-        # predictor call, and all their SATDs out of one Hadamard pass;
-        # the scalar decision loop — charges, branches and the early
-        # exit included — then replays over the precomputed scores.
-        # The replay consumes the same float values in the same order,
-        # so the ranking and every recorded event are bit-identical.
-        # The residual stack is kept for ``_rd_cost_intra``.
         satd_scores: list[float] | None = None
-        alt_satd: dict[int, float] = {}
         if self.vectorized:
-            residuals = src_block[None] - predict_stack(
-                modes, above, left, rect.height, rect.width
-            ).astype(np.int32)
-            self._intra_cache[rect] = (modes, residuals)
-            alt_index = [
-                index for index, mode in enumerate(modes)
-                if self.profile.intra_edge_filter and mode.value.startswith("d")
-            ]
-            stack = residuals
-            if alt_index:
-                alt_preds = predict_stack(
-                    tuple(modes[index] for index in alt_index),
-                    smooth_above, smooth_left, rect.height, rect.width,
-                )
-                stack = np.concatenate(
-                    (residuals, src_block[None] - alt_preds.astype(np.int32))
-                )
-            satd_scores = satd_batch(stack)
-            alt_satd = dict(zip(alt_index, satd_scores[len(modes):]))
+            satd_scores, alt_satd = self._leaf_results.satd[rect]
+        else:
+            src_block = self._src_block(rect)
+            above, left = extend_neighbours(
+                self.recon, rect.row, rect.col, rect.height, rect.width
+            )
+            if self.profile.intra_edge_filter:
+                smooth_above = _smooth_edge(above)
+                smooth_left = _smooth_edge(left)
 
         for index, mode in enumerate(modes):
             if satd_scores is not None:
@@ -716,25 +1235,23 @@ class _EncodeRun:
     def _evaluate_inter_leaf(self, rect: BlockRect) -> tuple[float, LeafPlan]:
         inst = self.inst
         family = self.spec.family
-        src_block = self._src_block(rect)
+        src_block = None if self.vectorized else self._src_block(rect)
         predictor = self._predict_mv(rect)
 
         with inst.function(f"{family}.inter_mode_decision"):
             # 1) Skip candidate: motion-compensate at the predicted MV
             #    with no residual.
-            skip_pred = self._mc_pred(rect, predictor, ref_index=0, filt=0)
-            skip_sse = float(
-                ((src_block - skip_pred.astype(np.int32)) ** 2).sum()
-            )
+            if self.vectorized:
+                self._charge_mc(rect, 0, 0)
+                skip_sse = self._leaf_results.skip_sse[rect]
+            else:
+                skip_pred = self._mc_pred(rect, predictor, ref_index=0, filt=0)
+                skip_sse = float(
+                    ((src_block - skip_pred.astype(np.int32)) ** 2).sum()
+                )
             inst.kernel("variance", rect.pixels)
             skip_cost = skip_sse + self.lam * _SKIP_SIGNAL_BITS
-            # Accepting skip outright requires the no-residual distortion
-            # to sit at the quantisation floor already — anything looser
-            # locks in above-floor error that compounds across inter
-            # frames.  (The lambda-based test is only used to *prune*
-            # search among candidates that still code a residual.)
-            quant_floor = self.step * self.step / 12.0
-            skip_good = skip_sse < 1.2 * quant_floor * rect.pixels
+            skip_good = self._skip_good(skip_sse, rect.pixels)
             inst.branch(inst.site(f"{family}.md.skip_early"), skip_good)
             inst.kernel("rdo_bookkeep", 1)
             if skip_good:
@@ -819,21 +1336,33 @@ class _EncodeRun:
             ):
                 for comp_idx in range(self.profile.compound_modes):
                     second_mv = predictor if comp_idx == 0 else ZERO_MV
-                    pred_a = self._mc_pred(
-                        rect, best_plan.mv, best_plan.ref_index,
-                        best_plan.interp_filter,
-                    )
-                    pred_b = self._mc_pred(rect, second_mv, 1, 0)
-                    comp_pred = (
-                        (pred_a.astype(np.uint16) + pred_b.astype(np.uint16))
-                        // 2
-                    ).astype(np.uint8)
+                    if self.vectorized:
+                        self._charge_mc(
+                            rect, best_plan.ref_index, best_plan.interp_filter
+                        )
+                        self._charge_mc(rect, 1, 0)
+                    else:
+                        pred_a = self._mc_pred(
+                            rect, best_plan.mv, best_plan.ref_index,
+                            best_plan.interp_filter,
+                        )
+                        pred_b = self._mc_pred(rect, second_mv, 1, 0)
+                        comp_pred = (
+                            (pred_a.astype(np.uint16) + pred_b.astype(np.uint16))
+                            // 2
+                        ).astype(np.uint8)
                     inst.kernel("mc_interp", rect.pixels * self.mc_cost)
-                    residual = (
-                        src_block - comp_pred.astype(np.int32)
-                    ).astype(np.float64)
-                    comp_err = float((residual * residual).sum())
-                    choice = self._transform_rd(rect, residual)
+                    if self.vectorized:
+                        choice = self._transform_choice(
+                            rect, *self._leaf_results.tx[("comp", rect, comp_idx)]
+                        )
+                    else:
+                        choice = self._transform_rd(
+                            rect,
+                            (src_block - comp_pred.astype(np.int32)).astype(
+                                np.float64
+                            ),
+                        )
                     inst.kernel("rdo_bookkeep", 1)
                     comp_cost = choice.sse + self.lam * (
                         choice.bits
@@ -853,8 +1382,7 @@ class _EncodeRun:
                         best_cost = comp_cost
 
             # 5) Intra fallback (restricted mode set on inter frames).
-            intra_budget = max(1, self.profile.intra_mode_count // 2)
-            ranked = self._intra_candidates(rect, intra_budget)
+            ranked = self._intra_candidates(rect, self.fallback_modes)
             intra_cost, intra_err = self._rd_cost_intra(rect, ranked[0])
             inst.kernel("rdo_bookkeep", 1)
             choose_intra = intra_cost < best_cost
@@ -871,7 +1399,7 @@ class _EncodeRun:
     def _motion_search(
         self,
         rect: BlockRect,
-        src_block: np.ndarray,
+        src_block: np.ndarray | None,
         predictor: MotionVector,
         ref_index: int,
     ) -> SearchResult:
@@ -879,7 +1407,9 @@ class _EncodeRun:
         family = self.spec.family
         ref = self.refs[ref_index]
         with inst.function(f"{family}.motion_search"):
-            if self.profile.motion_strategy == "full":
+            if self.vectorized:
+                result, refined = self._leaf_results.search[(rect, ref_index)]
+            elif self.profile.motion_strategy == "full":
                 result = full_search(
                     src_block.astype(np.uint8), ref, rect.row, rect.col,
                     self.profile.search_range,
@@ -905,10 +1435,13 @@ class _EncodeRun:
                 rect.width + span,
             )
             if self.profile.subpel_depth > 0:
-                result = subpel_refine(
-                    src_block.astype(np.uint8), ref, rect.row, rect.col,
-                    result, self.profile.subpel_depth,
-                )
+                if self.vectorized:
+                    result = refined
+                else:
+                    result = subpel_refine(
+                        src_block.astype(np.uint8), ref, rect.row, rect.col,
+                        result, self.profile.subpel_depth,
+                    )
                 inst.kernel("mc_interp", result.interp_pixels * self.mc_cost)
                 inst.kernel("sad", result.positions * rect.pixels * 0.25)
             # Replay the search kernel's per-candidate compare branches
@@ -922,35 +1455,33 @@ class _EncodeRun:
     # ------------------------------------------------------------------
     # Motion compensation with filter variants
     # ------------------------------------------------------------------
-    def _mc_pred(
-        self,
-        rect: BlockRect,
-        mv: MotionVector,
-        ref_index: int,
-        filt: int,
-        _filtered: list[np.ndarray] | None = None,
+    def _mc_prediction(
+        self, rect: BlockRect, mv: MotionVector, ref_index: int, filt: int
     ) -> np.ndarray:
         """Motion-compensated prediction with one of three MC filters
-        (see :func:`_filtered_predictions`).
+        (see :func:`_filtered_predictions`)."""
+        pred = interpolate(
+            self.refs[ref_index], rect.row, rect.col, rect.height,
+            rect.width, mv,
+        ).astype(np.float64)
+        return _filtered_predictions(pred, filt + 1)[filt]
 
-        ``_filtered`` short-circuits the (deterministic) interpolation
-        and filtering when the caller already holds the filter outputs
-        for this ``(rect, mv, ref)`` — the work is still charged, so
-        instrumentation is unchanged.
-        """
+    def _charge_mc(self, rect: BlockRect, ref_index: int, filt: int) -> None:
+        """Charge one :meth:`_mc_prediction`."""
         inst = self.inst
-        if _filtered is None:
-            pred = interpolate(
-                self.refs[ref_index], rect.row, rect.col, rect.height,
-                rect.width, mv,
-            ).astype(np.float64)
-            _filtered = _filtered_predictions(pred, filt + 1)
         inst.kernel("mc_interp", rect.pixels * self.mc_cost)
         inst.touch(self.ref_planes[ref_index], rect.row, rect.height,
                    rect.col, rect.width)
         if filt > 0:
             inst.kernel("mc_interp", rect.pixels * self.mc_cost)
-        return _filtered[filt]
+
+    def _mc_pred(
+        self, rect: BlockRect, mv: MotionVector, ref_index: int, filt: int
+    ) -> np.ndarray:
+        """:meth:`_mc_prediction`, charged."""
+        pred = self._mc_prediction(rect, mv, ref_index, filt)
+        self._charge_mc(rect, ref_index, filt)
+        return pred
 
     # ------------------------------------------------------------------
     # RD cost via transform-size search
@@ -971,7 +1502,9 @@ class _EncodeRun:
         SIMD transform kernel would.
         """
         if self.vectorized:
-            return self._transform_rd_fast(rect, residual)
+            return self._transform_choice(
+                rect, self._transform_stack(residual[None]), 0
+            )
         inst = self.inst
         best: TransformChoice | None = None
         best_cost = float("inf")
@@ -1015,105 +1548,63 @@ class _EncodeRun:
         assert best is not None
         return best
 
-    def _transform_rd_fast(
-        self, rect: BlockRect, residual: np.ndarray
+    def _transform_choice(
+        self, rect: BlockRect, stack: _TxStack, index: int
     ) -> TransformChoice:
-        """Type-batched :meth:`_transform_rd` (vectorized-kernels path).
-
-        Every candidate size and transform type runs in one stacked
-        pass: each size's forward and inverse transforms are one matmul
-        pair over all types, and quantisation, rate, dequantisation,
-        SSE and coded-block flags run once over the ``(size, type,
-        pixel)`` stack.  The scalar decision loop is then replayed in
-        the original candidate order over the precomputed results, so
-        every instruction charge, branch outcome and RD comparison —
-        and the returned choice — is bit-identical to the unbatched
-        search (DESIGN.md "Kernel architecture").
-        """
+        """The scalar :meth:`_transform_rd` decision loop over residual
+        ``index`` of a precomputed :class:`_TxStack`: every charge,
+        branch and RD comparison in the original candidate order."""
         inst = self.inst
-        best: TransformChoice | None = None
+        pixels = rect.pixels
+        bits_row, sse_row, cbf_row = (
+            stack.bits[index], stack.sse[index], stack.cbf[index]
+        )
+        best = 0
         best_cost = float("inf")
-        tx_types = self.tx_types
-        count = len(tx_types)
-        height, width, pixels = rect.height, rect.width, rect.pixels
-        sizes = self._tx_candidate_sizes(height, width)
-        coeffs = np.empty((len(sizes), count, pixels))
-        for size_idx, tx in enumerate(sizes):
-            coeffs[size_idx] = forward_tx_stack(
-                tile_block(residual, tx), tx_types
-            ).reshape(count, pixels)
-        dc = _dc_positions(sizes, count, pixels)
-        levels = self.quant.quantize(coeffs, dc=dc)
-        bits_by_group = rate_estimate_groups(levels, sizes)
-        coeffs = self.quant.dequantize(levels, dc=dc)
-        recon = np.empty((len(sizes), count, height, width))
-        for size_idx, tx in enumerate(sizes):
-            recon[size_idx] = untile_stack(
-                inverse_tx_stack(
-                    coeffs[size_idx].reshape(count, -1, tx, tx), tx_types
-                ),
-                height, width,
-            )
-        # Per-candidate SSE and coded-block flag, each reduced over its
-        # own contiguous row: the same values as the per-type calls.
-        groups = len(sizes) * count
-        sse_by_group = (
-            ((residual - recon) ** 2).reshape(groups, -1).sum(axis=1)
-        ).tolist()
-        cbf_by_group = levels.reshape(groups, -1).any(axis=1).tolist()
-        group = 0
-        for size_idx, tx in enumerate(sizes):
-            for type_idx, tx_type in enumerate(tx_types):
-                inst.kernel("fdct", pixels)
-                inst.kernel("quant", pixels)
-                bits = bits_by_group[group]
-                inst.kernel("rate_estimate", pixels * 0.25)
-                inst.kernel("dequant", pixels)
-                inst.kernel("idct", pixels)
-                sse = sse_by_group[group]
-                inst.kernel("variance", pixels)
-                inst.branch(self.site_tx_cbf, cbf_by_group[group])
-                cost = sse + self.lam * bits
-                better = cost < best_cost
-                if group > 0:
-                    inst.branch(self.site_tx_improve, better)
-                if better:
-                    best_cost = cost
-                    best = TransformChoice(
-                        tx_size=tx, tx_type=tx_type, sse=sse, bits=bits,
-                        recon_residual=recon[size_idx, type_idx],
-                        levels=levels[size_idx, type_idx].reshape(-1, tx, tx),
-                    )
-                group += 1
-        assert best is not None
-        return best
+        for group in range(len(bits_row)):
+            inst.kernel("fdct", pixels)
+            inst.kernel("quant", pixels)
+            bits = bits_row[group]
+            inst.kernel("rate_estimate", pixels * 0.25)
+            inst.kernel("dequant", pixels)
+            inst.kernel("idct", pixels)
+            sse = sse_row[group]
+            inst.kernel("variance", pixels)
+            inst.branch(self.site_tx_cbf, cbf_row[group])
+            cost = sse + self.lam * bits
+            better = cost < best_cost
+            if group > 0:
+                inst.branch(self.site_tx_improve, better)
+            if better:
+                best_cost = cost
+                best = group
+        return stack.choice(index, best)
 
     def _rd_cost_intra(
         self, rect: BlockRect, mode: IntraMode
     ) -> tuple[float, float]:
         """Full RD cost of one intra mode; returns (cost, pred_error)."""
-        searched = self._intra_cache.get(rect)
-        if searched is not None:
-            modes, residuals = searched
-            self.inst.kernel("intra_pred", rect.pixels)
-            residual = residuals[modes.index(mode)].astype(np.float64)
+        self.inst.kernel("intra_pred", rect.pixels)
+        if self.vectorized:
+            stack, row = self._leaf_results.tx[("intra", rect, mode)]
+            pred_error = stack.energy[row]
+            choice = self._transform_choice(rect, stack, row)
         else:
             above, left = extend_neighbours(
                 self.recon, rect.row, rect.col, rect.height, rect.width
             )
             pred = predict(mode, above, left, rect.height, rect.width)
-            self.inst.kernel("intra_pred", rect.pixels)
             src_block = self._src_block(rect)
             residual = (src_block - pred.astype(np.int32)).astype(np.float64)
-        pred_error = float((residual * residual).sum())
-        choice = self._transform_rd(rect, residual)
+            pred_error = float((residual * residual).sum())
+            choice = self._transform_rd(rect, residual)
         cost = choice.sse + self.lam * (choice.bits + _MODE_SIGNAL_BITS)
         return cost, pred_error
 
     def _rd_cost_inter(
         self,
         rect: BlockRect,
-        src_block: np.ndarray,
+        src_block: np.ndarray | None,
         mv: MotionVector,
         predictor: MotionVector,
         ref_index: int,
@@ -1125,33 +1616,30 @@ class _EncodeRun:
         best_pred: np.ndarray | None = None
         best_err = float("inf")
         num_filters = max(1, self.profile.interp_filters)
-        # Every filter variant post-processes the same base
-        # interpolation (and the sharp filter the smooth one's blur), so
-        # the fast path filters it once and feeds the outputs to each
-        # charged :meth:`_mc_pred` call.
-        filtered: list[np.ndarray] | None = None
-        if self.vectorized and num_filters > 1:
-            filtered = _filtered_predictions(
-                interpolate(
-                    self.refs[ref_index], rect.row, rect.col,
-                    rect.height, rect.width, mv,
-                ).astype(np.float64),
-                num_filters,
-            )
+        key = ("inter", rect, mv, ref_index)
+        errs = self._leaf_results.filter_errs[key] if self.vectorized else None
         for filt in range(num_filters):
-            pred = self._mc_pred(rect, mv, ref_index, filt, _filtered=filtered)
-            err = float(
-                ((src_block - pred.astype(np.int32)) ** 2).sum()
-            )
+            if errs is not None:
+                self._charge_mc(rect, ref_index, filt)
+                err = errs[filt]
+            else:
+                pred = self._mc_pred(rect, mv, ref_index, filt)
+                err = float(
+                    ((src_block - pred.astype(np.int32)) ** 2).sum()
+                )
             inst.kernel("variance", rect.pixels)
             if filt > 0:
                 inst.branch(self.site_filt_improve[filt], err < best_err)
             if err < best_err:
                 best_err = err
                 best_filt = filt
-                best_pred = pred
-        residual = (src_block - best_pred.astype(np.int32)).astype(np.float64)
-        choice = self._transform_rd(rect, residual)
+                if errs is None:
+                    best_pred = pred
+        if errs is not None:
+            choice = self._transform_choice(rect, *self._leaf_results.tx[key])
+        else:
+            residual = (src_block - best_pred.astype(np.int32)).astype(np.float64)
+            choice = self._transform_rd(rect, residual)
         mvr = mv_bits(mv, predictor)
         cost = choice.sse + self.lam * (choice.bits + mvr + _SKIP_SIGNAL_BITS)
         # "Skip" here = no residual coded even though MV is explicit.

@@ -246,62 +246,93 @@ def predict_stack(
     height: int,
     width: int,
 ) -> np.ndarray:
-    """:func:`predict` of every mode in ``modes`` as an ``(m, h, w)`` stack.
+    """:func:`predict` of every mode in ``modes`` for a stack of leaves.
 
-    DC, V, H and the six directional modes are pure gathers from
-    ``concat(above, left, [dc])`` through a cached index table, so all
-    of them come out of one indexing operation.  Paeth picks, per
-    sample, one of three neighbour values by the same distance
-    comparisons (ties going to the lower index, as ``argmin`` does),
-    and the smooth family shares one vertical and one horizontal blend
-    with cached weights.  Each sample goes through :func:`predict`'s
-    own float expressions (a gather copies without arithmetic), and
-    the rounding runs elementwise on the whole stack, so every plane
-    is bit-identical to the per-mode call.  ``above`` and ``left``
-    must have exactly the :func:`extend_neighbours` length ``height +
-    width``.
+    ``above`` and ``left`` are ``(L, n)`` stacks, one row per leaf, of
+    exactly the :func:`extend_neighbours` length ``n = height +
+    width``; the result is ``(L, m, h, w)``.  DC, V, H and the six
+    directional modes are pure gathers from each leaf's ``concat(above,
+    left, [dc])`` through a cached index table, so all of them come out
+    of one indexing operation.  Paeth picks, per sample, one of three
+    neighbour values by the same distance comparisons (ties going to
+    the lower index, as ``argmin`` does), and the smooth family shares
+    one vertical and one horizontal blend with cached weights.  Each
+    sample goes through :func:`predict`'s own float expressions (a
+    gather copies without arithmetic), the DC sums reduce each leaf's
+    own contiguous row, and the rounding runs elementwise on the whole
+    stack, so every plane is bit-identical to the per-mode call.
     """
     n = width + height
-    if len(above) != n or len(left) != n:
-        raise CodecError(
-            f"predict_stack needs neighbour arrays of length {n}, got "
-            f"above={len(above)}, left={len(left)}"
-        )
     above = np.asarray(above, dtype=np.float64)
     left = np.asarray(left, dtype=np.float64)
-    top = above[:width]
-    side = left[:height]
+    if above.ndim != 2 or above.shape[1] != n or left.shape != above.shape:
+        raise CodecError(
+            f"predict_stack needs (L, {n}) neighbour stacks, got "
+            f"above={above.shape}, left={left.shape}"
+        )
+    top = above[:, :width]
+    side = left[:, :height]
     # ``ndarray.mean`` is the float64 sum divided by the count.
-    dc = (top.sum() / width + side.sum() / height) / 2.0
-    source = np.concatenate((above, left, (dc,)))
-    out = source[_gather_table(modes, height, width)]
+    dc = (top.sum(axis=1) / width + side.sum(axis=1) / height) / 2.0
+    source = np.concatenate((above, left, dc[:, None]), axis=1)
+    out = source[:, _gather_table(modes, height, width)]
+    top_rows = top[:, None, :]
+    side_cols = side[:, :, None]
     if IntraMode.PAETH in modes:
-        top_left = above[0]
-        base = side[:, None] + top[None, :] - top_left
-        d_top = np.abs(top[None, :] - base)
-        d_side = np.abs(side[:, None] - base)
+        top_left = above[:, 0, None, None]
+        base = side_cols + top_rows - top_left
+        d_top = np.abs(top_rows - base)
+        d_side = np.abs(side_cols - base)
         d_corner = np.abs(top_left - base)
-        out[modes.index(IntraMode.PAETH)] = np.where(
+        out[:, modes.index(IntraMode.PAETH)] = np.where(
             (d_top <= d_side) & (d_top <= d_corner),
-            top[None, :],
-            np.where(d_side <= d_corner, side[:, None], top_left),
+            top_rows,
+            np.where(d_side <= d_corner, side_cols, top_left),
         )
     if not _SMOOTH_MODES.isdisjoint(modes):
         wv, cv = _smooth_weights(height)
         wh, ch = _smooth_weights(width)
-        vert = wv[:, None] * top[None, :] + cv[:, None] * side[-1]
-        horz = wh[None, :] * side[:, None] + ch[None, :] * top[-1]
+        vert = wv[:, None] * top_rows + cv[:, None] * side[:, -1, None, None]
+        horz = wh[None, :] * side_cols + ch[None, :] * top[:, -1, None, None]
         for k, mode in enumerate(modes):
             if mode is IntraMode.SMOOTH:
-                out[k] = (vert + horz) / 2.0
+                out[:, k] = (vert + horz) / 2.0
             elif mode is IntraMode.SMOOTH_V:
-                out[k] = vert
+                out[:, k] = vert
             elif mode is IntraMode.SMOOTH_H:
-                out[k] = horz
+                out[:, k] = horz
     np.rint(out, out=out)
     np.maximum(out, 0, out=out)
     np.minimum(out, 255, out=out)
     return out.astype(np.uint8)
+
+
+def neighbours_stack(
+    plane: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    height: int,
+    width: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`extend_neighbours` of every ``height x width`` block whose
+    origins are ``(rows[i], cols[i])``, as two ``(L, n)`` float64
+    stacks.  Edge replication is a clipped gather and a missing
+    neighbour row or column is the 128 fill, so every row equals the
+    per-block call."""
+    n = width + height
+    plane_h, plane_w = plane.shape
+    steps = np.arange(n)
+    above = plane[
+        np.maximum(rows - 1, 0)[:, None],
+        np.minimum(cols[:, None] + steps, plane_w - 1),
+    ].astype(np.float64)
+    above[rows == 0] = 128.0
+    left = plane[
+        np.minimum(rows[:, None] + steps, plane_h - 1),
+        np.maximum(cols - 1, 0)[:, None],
+    ].astype(np.float64)
+    left[cols == 0] = 128.0
+    return above, left
 
 
 def extend_neighbours(

@@ -100,13 +100,14 @@ def _tx_bases_stack(
 
 
 def forward_tx_stack(tiles: np.ndarray, tx_types: tuple[str, ...]) -> np.ndarray:
-    """All-types forward transform: ``(n, s, s)`` -> ``(T, n, s, s)``."""
+    """All-types forward transform of a leaf stack of tilings:
+    ``(L, n, s, s)`` -> ``(L, T, n, s, s)``."""
     row, col_t, _, _ = _tx_bases_stack(tx_types, tiles.shape[-1])
-    return row @ np.asarray(tiles, dtype=np.float64)[None] @ col_t
+    return row @ np.asarray(tiles, dtype=np.float64)[:, None] @ col_t
 
 
 def inverse_tx_stack(coeffs: np.ndarray, tx_types: tuple[str, ...]) -> np.ndarray:
-    """All-types inverse transform of a ``(T, n, s, s)`` stack."""
+    """All-types inverse transform of an ``(L, T, n, s, s)`` stack."""
     _, _, row_t, col = _tx_bases_stack(tx_types, coeffs.shape[-1])
     return row_t @ np.asarray(coeffs, dtype=np.float64) @ col
 
@@ -159,6 +160,19 @@ def tile_block(block: np.ndarray, size: int) -> np.ndarray:
         block.reshape(h // size, size, w // size, size)
         .transpose(0, 2, 1, 3)
         .reshape(-1, size, size)
+    )
+
+
+def tile_stack(blocks: np.ndarray, size: int) -> np.ndarray:
+    """:func:`tile_block` of every block of an ``(L, h, w)`` stack, as
+    an ``(L, n, size, size)`` stack (a pure reshuffle)."""
+    count, h, w = blocks.shape
+    if h % size or w % size:
+        raise CodecError(f"block {w}x{h} not tileable by {size}x{size}")
+    return (
+        blocks.reshape(count, h // size, size, w // size, size)
+        .transpose(0, 1, 3, 2, 4)
+        .reshape(count, -1, size, size)
     )
 
 
@@ -241,25 +255,27 @@ def satd(residual: np.ndarray) -> float:
     return float(np.abs(transformed).sum() / size)
 
 
-def satd_batch(residuals: np.ndarray) -> list[float]:
-    """:func:`satd` of every block in an ``(m, h, w)`` stack.
+def satd_batch(residuals: np.ndarray) -> np.ndarray:
+    """:func:`satd` of every block of an ``(..., h, w)`` stack, shaped
+    like the leading axes.
 
     One broadcast Hadamard matmul pair covers all blocks; each block's
     absolute sum then reduces over its own contiguous row of the
     result.  A row reduction runs the same pairwise summation as the
-    whole-array sum of that block in :func:`satd`, so every returned
-    value is bit-identical to the scalar call.
+    whole-array sum of that block in :func:`satd`, so every value is
+    bit-identical to the scalar call.
     """
-    m, h, w = residuals.shape
+    *lead, h, w = residuals.shape
     size = min(8, h, w)
     if size & (size - 1):
         size = 4
     mat = hadamard_matrix(size)
     rows = h - h % size
     cols = w - w % size
-    res = residuals[:, :rows, :cols].astype(np.float64)
-    tiles = res.reshape(m, rows // size, size, cols // size, size).transpose(
+    res = residuals.reshape(-1, h, w)[:, :rows, :cols].astype(np.float64)
+    tiles = res.reshape(-1, rows // size, size, cols // size, size).transpose(
         0, 1, 3, 2, 4
     )
     transformed = mat @ tiles @ mat.T
-    return (np.abs(transformed).reshape(m, -1).sum(axis=1) / size).tolist()
+    sums = np.abs(transformed).reshape(len(res), -1).sum(axis=1) / size
+    return sums.reshape(lead)

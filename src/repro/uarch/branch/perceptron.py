@@ -49,7 +49,10 @@ class PerceptronPredictor(BranchPredictor):
         )
         self._history = np.ones(history_bits, dtype=np.int16)  # +-1 encoding
         self._threshold = int(1.93 * history_bits + 14)  # Jimenez's theta
+        # Output of the last predict() and the pc it was for (None once
+        # update() consumed it).
         self._last_output = 0
+        self._predicted_pc: int | None = None
         self.name = f"perceptron-{num_perceptrons}x{history_bits}"
 
     def _index(self, pc: int) -> int:
@@ -58,9 +61,13 @@ class PerceptronPredictor(BranchPredictor):
     def predict(self, pc: int) -> bool:
         weights = self._weights[self._index(pc)]
         self._last_output = int(weights[0]) + int(weights[1:] @ self._history)
+        self._predicted_pc = pc
         return self._last_output >= 0
 
     def update(self, pc: int, taken: bool) -> None:
+        if self._predicted_pc != pc:
+            self.predict(pc)
+        self._predicted_pc = None
         target = 1 if taken else -1
         predicted_taken = self._last_output >= 0
         if predicted_taken != taken or abs(self._last_output) <= self._threshold:
@@ -88,6 +95,7 @@ class PerceptronPredictor(BranchPredictor):
         recent = np.where(taken[max(0, n - h) :] != 0, 1, -1).astype(np.int16)
         self._history = np.concatenate([recent[::-1], self._history])[:h]
         self._last_output = run.last_outputs[0]
+        self._predicted_pc = None
         return run.mispredicts[0]
 
     def replay_batch(

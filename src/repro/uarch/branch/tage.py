@@ -97,7 +97,9 @@ class TagePredictor(BranchPredictor):
         # fresh instance reproduces every prediction bit-for-bit — the
         # property the validation invariant harness asserts.
         # Per-prediction scratch, filled by predict() and consumed by
-        # update() (the CBP contract guarantees the pairing).
+        # update(); ``_predicted_pc`` is the pc it was filled for (None
+        # once consumed), so an unpaired update() recomputes it.
+        self._predicted_pc: int | None = None
         self._hit = -1
         self._alt = -1
         self._pred = False
@@ -122,6 +124,7 @@ class TagePredictor(BranchPredictor):
         return bool(self._base[(pc >> 2) & self._base_mask] >= 2)
 
     def predict(self, pc: int) -> bool:
+        self._predicted_pc = pc
         self._compute_indices(pc)
         self._hit = -1
         self._alt = -1
@@ -152,6 +155,9 @@ class TagePredictor(BranchPredictor):
         return self._pred
 
     def update(self, pc: int, taken: bool) -> None:
+        if self._predicted_pc != pc:
+            self.predict(pc)
+        self._predicted_pc = None
         hit = self._hit
         if hit >= 0:
             index = self._indices[hit]
@@ -436,6 +442,7 @@ class TagePredictor(BranchPredictor):
         self._alt = alt
         self._pred = pred
         self._alt_pred = alt_pred
+        self._predicted_pc = None
         return mispredicts
 
     def replay_batch(

@@ -47,19 +47,22 @@ class TournamentPredictor(BranchPredictor):
         self._chooser = np.full(chooser_entries, 2, dtype=np.int8)
         self._chooser_mask = chooser_entries - 1
         self.name = f"tournament-{size_bytes // 1024}KB"
-        self._last: tuple[bool, bool] | None = None
+        # (pc, bimodal, gshare) of the last predict(), None once
+        # update() consumed it.
+        self._last: tuple[int, bool, bool] | None = None
 
     def predict(self, pc: int) -> bool:
         bimodal = self._bimodal.predict(pc)
         gshare = self._gshare.predict(pc)
-        self._last = (bimodal, gshare)
+        self._last = (pc, bimodal, gshare)
         use_gshare = self._chooser[(pc >> 2) & self._chooser_mask] >= 2
         return gshare if use_gshare else bimodal
 
     def update(self, pc: int, taken: bool) -> None:
-        if self._last is None:  # predict() not called; still legal to train
-            self._last = (self._bimodal.predict(pc), self._gshare.predict(pc))
-        bimodal, gshare = self._last
+        if self._last is None or self._last[0] != pc:
+            # No predict() for this pc: train from its own components.
+            self._last = (pc, self._bimodal.predict(pc), self._gshare.predict(pc))
+        _, bimodal, gshare = self._last
         index = (pc >> 2) & self._chooser_mask
         if bimodal != gshare:
             counter = self._chooser[index]

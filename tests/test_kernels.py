@@ -22,11 +22,32 @@ from repro.codecs.entropy.coefcode import (
     fast_rate_estimate_batch,
     rate_estimate_groups,
 )
+from repro.codecs.motion import (
+    ZERO_MV,
+    MotionVector,
+    SadVolume,
+    diamond_search,
+    diamond_search_sads,
+    full_search,
+    full_search_sads,
+)
 from repro.codecs.predict import (
     IntraMode,
     extend_neighbours,
+    neighbours_stack,
     predict,
     predict_stack,
+)
+from repro.codecs.transform import (
+    TX_TYPES,
+    forward_tx_batch,
+    forward_tx_stack,
+    inverse_tx_batch,
+    inverse_tx_stack,
+    satd,
+    satd_batch,
+    tile_block,
+    tile_stack,
 )
 from repro.errors import CodecError
 from repro.uarch.branch import (
@@ -305,6 +326,19 @@ class TestEncoderBatchingEquivalence:
         ("x265", 30, 4),
         ("libvpx-vp9", 30, 4),
         ("libaom", 30, 4),
+        # The AV1 encoders at both CRF extremes (skip and early exits
+        # fire most at high CRF) and at the exhaustive (full search,
+        # R=16, compound) and fastest presets: the corners where the
+        # precompute's stages gate differently.  The third frame has
+        # two references, so compound candidates run.
+        ("svt-av1", 10, 0),
+        ("svt-av1", 10, 8),
+        ("svt-av1", 60, 0),
+        ("svt-av1", 60, 8),
+        ("libaom", 10, 0),
+        ("libaom", 10, 8),
+        ("libaom", 60, 0),
+        ("libaom", 60, 8),
     ])
     def test_encode_bit_identical(self, small_video, codec, crf, preset):
         with kernels.scalar_kernels():
@@ -335,6 +369,47 @@ class TestEncoderBatchingEquivalence:
             assert np.array_equal(ref_frame.v.data, vec_frame.v.data)
 
 
+class TestLeafSetCoverage:
+    """Every leaf the partition walk visits is in its superblock's
+    precomputed leaf set, for every codec at slow, medium and fast
+    presets and at both CRF extremes."""
+
+    @pytest.mark.parametrize("codec", [
+        "x264", "x265", "libvpx-vp9", "libaom", "svt-av1",
+    ])
+    @pytest.mark.parametrize("preset", [0, 4, 8])
+    def test_visited_leaves_are_precomputed(
+        self, small_video, monkeypatch, codec, preset
+    ):
+        from repro.codecs import pipeline
+
+        legal: set = set()
+        visited: list = []
+        superblock_leaves = pipeline._EncodeRun._superblock_leaves
+        evaluate_leaf = pipeline._EncodeRun._evaluate_leaf
+
+        def record_legal(run, sb):
+            shapes = superblock_leaves(run, sb)
+            legal.clear()
+            legal.update(rect for _, rects in shapes for rect in rects)
+            return shapes
+
+        def record_visit(run, rect):
+            assert rect in legal, rect
+            visited.append(rect)
+            return evaluate_leaf(run, rect)
+
+        monkeypatch.setattr(
+            pipeline._EncodeRun, "_superblock_leaves", record_legal
+        )
+        monkeypatch.setattr(pipeline._EncodeRun, "_evaluate_leaf", record_visit)
+        crf_range = create_encoder(codec, crf=10, preset=preset).spec.crf_range
+        for crf in (10, min(60, crf_range)):
+            with kernels.vectorized_kernels():
+                create_encoder(codec, crf=crf, preset=preset).encode(small_video)
+        assert visited
+
+
 class TestStackedKernels:
     """Exact parity of the stacked RD-search kernels with the per-call
     functions they replace."""
@@ -349,26 +424,31 @@ class TestStackedKernels:
         modes = tuple(IntraMode)
         # Frame corner and edges (128 fill), interior, and the right and
         # bottom borders (edge replication), plus coarse planes whose
-        # repeated values exercise Paeth's tie-breaking.
+        # repeated values exercise Paeth's tie-breaking.  All positions
+        # are one leaf stack, so each leaf row must match its own call.
         positions = [
             (0, 0), (0, cols // 2), (rows // 2, 0), (rows // 2, cols // 2),
             (rows - height, cols - width), (rows - 4, cols - 4),
         ]
+        origins = tuple(np.array(axis) for axis in zip(*positions))
         for coarse in (False, True):
             plane = rng.integers(0, 256, size=self.PLANE_SHAPE).astype(np.uint8)
             if coarse:
                 plane = plane // 64 * 64
-            for row, col in positions:
-                above, left = extend_neighbours(plane, row, col, height, width)
-                smooth_above = above.copy()
-                smooth_above[1:-1] = (
-                    above[:-2] + 2 * above[1:-1] + above[2:]
-                ) / 4.0
-                for top in (above, smooth_above):
-                    stack = predict_stack(modes, top, left, height, width)
+            above, left = neighbours_stack(plane, *origins, height, width)
+            smooth_above = above.copy()
+            smooth_above[:, 1:-1] = (
+                above[:, :-2] + 2 * above[:, 1:-1] + above[:, 2:]
+            ) / 4.0
+            for top in (above, smooth_above):
+                stack = predict_stack(modes, top, left, height, width)
+                assert stack.shape == (len(positions), len(modes), height, width)
+                for leaf, (row, col) in enumerate(positions):
                     for index, mode in enumerate(modes):
-                        expected = predict(mode, top, left, height, width)
-                        assert np.array_equal(stack[index], expected), (
+                        expected = predict(
+                            mode, top[leaf], left[leaf], height, width
+                        )
+                        assert np.array_equal(stack[leaf, index], expected), (
                             mode, height, width, row, col
                         )
 
@@ -378,7 +458,7 @@ class TestStackedKernels:
         above, left = extend_neighbours(plane, 16, 24, 16, 8)
         for _ in range(20):
             modes = tuple(rng.permutation(list(IntraMode))[: rng.integers(1, 14)])
-            stack = predict_stack(modes, above, left, 16, 8)
+            stack = predict_stack(modes, above[None], left[None], 16, 8)[0]
             for index, mode in enumerate(modes):
                 assert np.array_equal(
                     stack[index], predict(mode, above, left, 16, 8)
@@ -386,7 +466,84 @@ class TestStackedKernels:
 
     def test_predict_stack_rejects_wrong_lengths(self):
         with pytest.raises(CodecError):
-            predict_stack((IntraMode.DC,), np.zeros(20), np.zeros(24), 8, 16)
+            predict_stack(
+                (IntraMode.DC,), np.zeros((1, 20)), np.zeros((1, 24)), 8, 16
+            )
+        with pytest.raises(CodecError):
+            predict_stack((IntraMode.DC,), np.zeros(24), np.zeros(24), 8, 16)
+
+    def test_neighbours_stack_matches_extend_neighbours(self):
+        rng = np.random.default_rng(5)
+        plane = rng.integers(0, 256, size=(40, 48)).astype(np.uint8)
+        for height, width in ((8, 8), (8, 32), (32, 8), (4, 4)):
+            origins = [
+                (row, col)
+                for row in range(0, 40 - height + 1, 4)
+                for col in range(0, 48 - width + 1, 4)
+            ]
+            rows, cols = (np.array(axis) for axis in zip(*origins))
+            above, left = neighbours_stack(plane, rows, cols, height, width)
+            for leaf, (row, col) in enumerate(origins):
+                expected = extend_neighbours(plane, row, col, height, width)
+                assert np.array_equal(above[leaf], expected[0]), (row, col)
+                assert np.array_equal(left[leaf], expected[1]), (row, col)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (8, 8), (8, 32), (32, 16), (12, 20)])
+    def test_satd_batch_matches_satd(self, shape):
+        rng = np.random.default_rng(shape[0] * 7 + shape[1])
+        residuals = rng.integers(-255, 256, size=(3, 5) + shape)
+        scores = satd_batch(residuals)
+        assert scores.shape == (3, 5)
+        for leaf in range(3):
+            for index in range(5):
+                assert scores[leaf, index] == satd(residuals[leaf, index])
+
+    @pytest.mark.parametrize("size", [4, 8, 16, 32])
+    def test_transform_stacks_match_per_type_calls(self, size):
+        rng = np.random.default_rng(size)
+        tx_types = TX_TYPES
+        blocks = rng.normal(0, 40, size=(5, 32, 64))
+        coeffs = forward_tx_stack(tile_stack(blocks, size), tx_types)
+        back = inverse_tx_stack(coeffs, tx_types)
+        for leaf in range(len(blocks)):
+            tiles = tile_block(blocks[leaf], size)
+            for index, tx_type in enumerate(tx_types):
+                expected = forward_tx_batch(tiles, tx_type)
+                assert np.array_equal(coeffs[leaf, index], expected)
+                assert np.array_equal(
+                    back[leaf, index], inverse_tx_batch(expected, tx_type)
+                )
+
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_sad_volume_matches_per_block_search(self, coarse):
+        # Superblocks at the frame corners and interior, every leaf
+        # shape of a 32x32 superblock; a coarse plane makes many SADs
+        # tie, pinning full search's argmin and improvement order.
+        rng = np.random.default_rng(11)
+        src = rng.integers(0, 256, size=(96, 128)).astype(np.uint8)
+        ref = rng.integers(0, 256, size=(96, 128)).astype(np.uint8)
+        if coarse:
+            src, ref = src // 128 * 128, ref // 128 * 128
+        radius = 12
+        leaves = [(0, 0, 32, 32), (8, 0, 8, 32), (0, 24, 32, 8),
+                  (16, 16, 16, 16), (8, 8, 8, 8), (0, 16, 16, 8)]
+        for sb_row, sb_col in ((0, 0), (32, 64), (64, 96)):
+            volume = SadVolume(src, ref, sb_row, sb_col, 32, radius, 8)
+            for dr, dc, height, width in leaves:
+                row, col = sb_row + dr, sb_col + dc
+                block = src[row : row + height, col : col + width]
+                sads = volume.leaf_sads(row, col, height, width)
+                full = full_search(block, ref, row, col, radius)
+                assert full_search_sads(sads, radius) == full
+                for start in (ZERO_MV, MotionVector(-40, 24), MotionVector(200, -9)):
+                    assert diamond_search_sads(
+                        sads, radius, start=start
+                    ) == diamond_search(block, ref, row, col, radius, start=start)
+
+    def test_sad_volume_rejects_bad_cells(self):
+        plane = np.zeros((32, 32), dtype=np.uint8)
+        with pytest.raises(CodecError):
+            SadVolume(plane, plane, 0, 0, 32, 4, 6)
 
     def test_extend_neighbours_replicates_edges(self):
         rng = np.random.default_rng(4)

@@ -103,6 +103,47 @@ class TestAllPredictors:
         assert isinstance(predictor.predict(0x400), bool)
 
 
+    @pytest.mark.parametrize("name", list(ALL_PREDICTORS))
+    @pytest.mark.parametrize("other", [0x2000, 0x2004], ids=["0x2000", "0x2004"])
+    def test_update_trains_the_pc_it_is_given(self, name, other):
+        """update(pc) after a predict() of another pc trains exactly as
+        the matched predict(pc)/update(pc) pair does.  (0x1000 and
+        0x2000 share a perceptron row; 0x2004 does not.)"""
+        rng = np.random.default_rng(7)
+        warm = list(zip(
+            (0x1000 + 4 * rng.integers(0, 6, size=400)).tolist(),
+            (rng.uniform(size=400) < 0.6).tolist(),
+        )) + [(0x1000, True), (other, False)] * 20
+        mismatched, matched = ALL_PREDICTORS[name](), ALL_PREDICTORS[name]()
+        for predictor in (mismatched, matched):
+            for pc, taken in warm:
+                predictor.predict(pc)
+                predictor.update(pc, taken)
+        for taken in (True, False, True):
+            mismatched.predict(0x1000)
+            mismatched.update(other, taken)
+            matched.predict(other)
+            matched.update(other, taken)
+            assert predictor_state(mismatched) == predictor_state(matched)
+
+
+def predictor_state(obj):
+    """Every attribute of a predictor, recursively, in comparable form."""
+    if isinstance(obj, np.ndarray):
+        return (obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, (list, tuple)):
+        return [predictor_state(value) for value in obj]
+    if isinstance(obj, dict):
+        return {key: predictor_state(value) for key, value in obj.items()}
+    if hasattr(obj, "__dict__"):
+        return (type(obj).__name__, predictor_state(vars(obj)))
+    if hasattr(obj, "__slots__"):
+        return (type(obj).__name__, {
+            slot: predictor_state(getattr(obj, slot)) for slot in obj.__slots__
+        })
+    return obj
+
+
 class TestStorageBudgets:
     def test_paper_sizes(self):
         """The four CBP configurations must honour their budgets."""
